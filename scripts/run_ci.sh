@@ -8,7 +8,11 @@
 # phase-diagram report cmp'd against the committed golden under
 # tests/golden/, and a second kill -9 + elastic-recovery cycle run
 # against bench_alignment_phase_diagram to prove the checkpoint path is
-# model-generic.
+# model-generic. An ASan+UBSan tier rebuilds the codec-facing test
+# binaries (shard, checkpoint, service, model and the util::record
+# pinned-bytes and mutation-fuzz tests) in <build-dir>-asan and runs them
+# with UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
+# behaviour on a refusal path fails CI, not only a wrong exception.
 #
 # Usage: scripts/run_ci.sh [build-dir]
 #   build-dir  CMake build tree to create/reuse (default: build)
@@ -79,6 +83,16 @@ scripts/check_checkpoint_kill9.sh "$build_dir" bench_thm13_compression
 
 echo "== checkpoint kill -9 + elastic recovery (bench_alignment_phase_diagram)"
 scripts/check_checkpoint_kill9.sh "$build_dir" bench_alignment_phase_diagram
+
+echo "== ASan+UBSan tier (shard|checkpoint|service|model|record under ${build_dir}-asan)"
+cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "${build_dir}-asan" -j "$jobs" --target shard_test \
+  checkpoint_test service_test model_test alignment_test record_test \
+  record_fuzz_test codec_golden_test
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
+  -L 'shard|checkpoint|service|model|record'
 
 echo "== kernel perf vs recorded snapshot ($(
   [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] \

@@ -8,14 +8,13 @@
 #include "src/core/coloring.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/model/registry.hpp"
-#include "src/model/state.hpp"
 #include "src/sops/invariants.hpp"
 
 namespace sops::alignment {
 
 namespace {
 
-namespace st = sops::model::state;
+namespace rec = util::record;
 
 class AlignmentModel final : public model::ChainModel {
  public:
@@ -59,51 +58,33 @@ class AlignmentModel final : public model::ChainModel {
             "unaligned_edges", "perimeter_ratio", "unaligned_fraction"};
   }
 
+  // State-line grammar: the separation model's, with the rotation
+  // counters in the last two counter slots and orientations as colors.
+  //   params <λ> <γ>
+  //   rng <hex16> ×4
+  //   counters <u64> ×8
+  //   particles <n>
+  //   p <x> <y> <orientation> ×n
   [[nodiscard]] std::vector<std::string> save_state() const override {
-    const system::ParticleSystem& sys = chain_.system();
     const AlignmentChain::Counters& c = chain_.counters();
     std::vector<std::string> out;
-    out.reserve(4 + sys.size());
-    {
-      std::string line = "params ";
-      st::put_double(line, chain_.params().lambda);
-      line += ' ';
-      st::put_double(line, chain_.params().gamma);
-      out.push_back(std::move(line));
+    out.reserve(4 + chain_.system().size());
+    std::string params = "params ";
+    rec::put_double(params, chain_.params().lambda);
+    params += ' ';
+    rec::put_double(params, chain_.params().gamma);
+    out.push_back(std::move(params));
+    out.push_back(model::rng_line(chain_.rng_state()));
+    std::string counters = "counters";
+    for (const std::uint64_t v :
+         {c.steps, c.move_proposals, c.moves_accepted, c.rejected_five,
+          c.rejected_locality, c.rejected_metropolis, c.rotation_proposals,
+          c.rotations_accepted}) {
+      counters += ' ';
+      rec::put_u64(counters, v);
     }
-    {
-      std::string line = "rng";
-      for (const std::uint64_t w : chain_.rng_state()) {
-        line += ' ';
-        st::put_hex16(line, w);
-      }
-      out.push_back(std::move(line));
-    }
-    {
-      std::string line = "counters";
-      for (const std::uint64_t v :
-           {c.steps, c.move_proposals, c.moves_accepted, c.rejected_five,
-            c.rejected_locality, c.rejected_metropolis, c.rotation_proposals,
-            c.rotations_accepted}) {
-        line += ' ';
-        st::put_u64(line, v);
-      }
-      out.push_back(std::move(line));
-    }
-    {
-      std::string line = "particles ";
-      st::put_u64(line, sys.size());
-      out.push_back(std::move(line));
-    }
-    for (std::size_t i = 0; i < sys.size(); ++i) {
-      std::string line = "p ";
-      st::put_i64(line, sys.positions()[i].x);
-      line += ' ';
-      st::put_i64(line, sys.positions()[i].y);
-      line += ' ';
-      st::put_u64(line, sys.colors()[i]);
-      out.push_back(std::move(line));
-    }
+    out.push_back(std::move(counters));
+    model::put_particles(out, chain_.system());
     return out;
   }
 
@@ -116,66 +97,25 @@ class AlignmentModel final : public model::ChainModel {
 
 std::unique_ptr<model::ChainModel> restore_alignment(
     std::span<const std::string> lines) {
-  std::size_t at = 0;
-  const auto params =
-      st::expect(st::line_at(lines, at++, "params"), "params", 3);
-  const double lambda = st::get_double(params[1], "params");
-  const double gamma = st::get_double(params[2], "params");
-
-  const auto rng_toks = st::expect(st::line_at(lines, at++, "rng"), "rng", 5);
-  util::Rng::State rng{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    rng[i] = st::get_hex16(rng_toks[1 + i], "rng");
+  rec::Cursor in(lines);
+  rec::Line p = in.expect("params", 2);
+  const Params params{p.f64(), p.f64()};
+  const util::Rng::State rng = model::read_rng(in);
+  rec::Line cnt = in.expect("counters", 8);
+  AlignmentChain::Counters c;
+  for (std::uint64_t* v :
+       {&c.steps, &c.move_proposals, &c.moves_accepted, &c.rejected_five,
+        &c.rejected_locality, &c.rejected_metropolis, &c.rotation_proposals,
+        &c.rotations_accepted}) {
+    *v = cnt.u64();
   }
-  if (rng == util::Rng::State{}) {
-    throw model::ModelError(
-        "rng state is all-zero — not a live chain state "
-        "(stateless completion snapshot, or corrupt)");
-  }
+  system::ParticleSystem sys =
+      model::read_particles(in, kOrientations, "orientation");
+  in.finish();
 
-  const auto cnt =
-      st::expect(st::line_at(lines, at++, "counters"), "counters", 9);
-  AlignmentChain::Counters counters;
-  counters.steps = st::get_u64(cnt[1], "counters");
-  counters.move_proposals = st::get_u64(cnt[2], "counters");
-  counters.moves_accepted = st::get_u64(cnt[3], "counters");
-  counters.rejected_five = st::get_u64(cnt[4], "counters");
-  counters.rejected_locality = st::get_u64(cnt[5], "counters");
-  counters.rejected_metropolis = st::get_u64(cnt[6], "counters");
-  counters.rotation_proposals = st::get_u64(cnt[7], "counters");
-  counters.rotations_accepted = st::get_u64(cnt[8], "counters");
-
-  const auto head =
-      st::expect(st::line_at(lines, at++, "particles"), "particles", 2);
-  const std::uint64_t count = st::get_u64(head[1], "particles");
-  if (count == 0) throw model::ModelError("snapshot carries no particles");
-  std::vector<lattice::Node> positions;
-  std::vector<system::Color> orientations;
-  positions.reserve(count);
-  orientations.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto p = st::expect(st::line_at(lines, at++, "p"), "p", 4);
-    const std::int64_t x = st::get_i64(p[1], "p");
-    const std::int64_t y = st::get_i64(p[2], "p");
-    if (x < INT32_MIN || x > INT32_MAX || y < INT32_MIN || y > INT32_MAX) {
-      throw model::ModelError("p: particle coordinate out of int32 range");
-    }
-    const std::uint64_t orient = st::get_u64(p[3], "p");
-    if (orient >= kOrientations) {
-      throw model::ModelError("p: particle orientation out of range");
-    }
-    positions.push_back(lattice::Node{static_cast<std::int32_t>(x),
-                                      static_cast<std::int32_t>(y)});
-    orientations.push_back(static_cast<system::Color>(orient));
-  }
-  if (at != lines.size()) {
-    throw model::ModelError("state: trailing content after particle list");
-  }
-
-  AlignmentChain chain(system::ParticleSystem(positions, orientations),
-                       Params{lambda, gamma}, counters.steps + 1);
+  AlignmentChain chain(std::move(sys), params, c.steps + 1);
   chain.set_rng_state(rng);
-  chain.set_counters(counters);
+  chain.set_counters(c);
   return make_alignment(std::move(chain));
 }
 
@@ -188,7 +128,7 @@ std::unique_ptr<model::ChainModel> build_alignment(
     const std::string key = eq == std::string::npos ? p : p.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : p.substr(eq + 1);
     if (key == "blob") {
-      blob = st::parse_u64_param("params: blob", value);
+      blob = model::param_u64("params: blob", value);
       blob_set = true;
     } else {
       throw model::ModelError("params: unknown key '" + key +

@@ -1,14 +1,10 @@
 #include "src/checkpoint/snapshot.hpp"
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "src/model/registry.hpp"
-#include "src/model/separation.hpp"
 
 #if defined(_WIN32)
 #include <io.h>
@@ -18,39 +14,11 @@
 
 namespace sops::checkpoint {
 
+namespace rec = util::record;
+
 namespace {
 
 constexpr std::string_view kMagic = "sops-checkpoint";
-
-[[noreturn]] void bad(std::size_t line_no, std::string_view msg) {
-  std::ostringstream os;
-  os << "checkpoint: line " << line_no << ": " << msg;
-  throw SnapshotError(os.str());
-}
-
-bool is_token(std::string_view s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return false;
-  }
-  return true;
-}
-
-// A valid model-state line: one or more single-space-separated tokens,
-// exactly as save_state() emits them. The codec stores these verbatim
-// under an "s " prefix, so the line itself must obey the document's
-// token grammar.
-bool is_state_line(std::string_view s) {
-  if (s.empty() || s.front() == ' ' || s.back() == ' ') return false;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c == '\t' || c == '\n' || c == '\r') return false;
-    if (c == ' ' && s[i - 1] == ' ') return false;
-  }
-  return true;
-}
-
-// ---- hashing ------------------------------------------------------------
 
 // FNV-1a over a byte string: stable, dependency-free, and plenty for
 // tamper evidence and spec identity (this is an integrity check against
@@ -64,276 +32,82 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
-// ---- encoding -----------------------------------------------------------
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  (void)ec;
-  out.append(buf, ptr);
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  (void)ec;
-  out.append(buf, ptr);
-}
-
-// C99 hexfloat, exactly as the shard wire writes doubles.
-void put_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  out += buf;
-}
-
-void put_hex16(std::string& out, std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// ---- decoding -----------------------------------------------------------
-
-// Line/token cursor, same grammar rules as the shard wire: single-space
-// separators, no empty tokens, one spelling per document.
-class Lines {
- public:
-  explicit Lines(std::string_view text) : rest_(text) {}
-
-  bool next(std::vector<std::string_view>& tokens) {
-    tokens.clear();
-    if (rest_.empty()) return false;
-    ++line_no_;
-    const auto nl = rest_.find('\n');
-    std::string_view line = rest_.substr(0, nl);
-    rest_ = (nl == std::string_view::npos) ? std::string_view{}
-                                           : rest_.substr(nl + 1);
-    if (line.empty() && rest_.empty()) return false;  // trailing newline
-    std::size_t start = 0;
-    while (true) {
-      const auto sp = line.find(' ', start);
-      const std::string_view tok = line.substr(start, sp - start);
-      if (!is_token(tok)) bad(line_no_, "empty or malformed token");
-      tokens.push_back(tok);
-      if (sp == std::string_view::npos) break;
-      start = sp + 1;
-    }
-    return true;
+// Integrity first: locate the checksum line from the back and verify it
+// over the byte prefix before trusting any field. This turns every
+// flavor of corruption — bit flips, truncation, hand edits — into one
+// unambiguous "checksum mismatch" instead of a downstream grammar error
+// that might accidentally parse.
+void verify_checksum(std::string_view text) {
+  const auto pos = text.rfind("\nchecksum ");
+  if (pos == std::string_view::npos) {
+    throw SnapshotError("checkpoint: missing checksum line");
   }
-
-  [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
-
- private:
-  std::string_view rest_;
-  std::size_t line_no_ = 0;
-};
-
-std::uint64_t get_u64(std::string_view tok, std::size_t line_no) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    bad(line_no, "expected unsigned integer");
+  const std::string_view rest = text.substr(pos + 10);
+  const std::string_view tok = rest.substr(0, rest.find('\n'));
+  const auto declared = rec::parse_hex16(tok);
+  if (tok.size() == rest.size() || !declared) {
+    throw SnapshotError("checkpoint: malformed checksum line");
   }
-  return out;
-}
-
-std::int64_t get_i64(std::string_view tok, std::size_t line_no) {
-  std::int64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    bad(line_no, "expected integer");
-  }
-  return out;
-}
-
-double get_double(std::string_view tok, std::size_t line_no) {
-  const std::string copy(tok);
-  char* end = nullptr;
-  const double out = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size() || copy.empty()) {
-    bad(line_no, "expected hexfloat value");
-  }
-  return out;
-}
-
-std::uint64_t get_hex16(std::string_view tok, std::size_t line_no) {
-  if (tok.size() != 16) bad(line_no, "expected 16-digit hex value");
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out, 16);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    bad(line_no, "expected 16-digit hex value");
-  }
-  return out;
-}
-
-std::vector<std::string_view> expect_line(Lines& lines,
-                                          std::string_view keyword,
-                                          std::size_t n_tokens) {
-  std::vector<std::string_view> tokens;
-  if (!lines.next(tokens)) {
-    bad(lines.line_no() + 1, std::string("unexpected end of input (wanted '") +
-                                 std::string(keyword) + "')");
-  }
-  if (tokens[0] != keyword) {
-    bad(lines.line_no(), std::string("expected '") + std::string(keyword) +
-                             "' line, got '" + std::string(tokens[0]) + "'");
-  }
-  if (tokens.size() != n_tokens) {
-    bad(lines.line_no(), std::string("wrong token count for '") +
-                             std::string(keyword) + "' line");
-  }
-  return tokens;
-}
-
-// Shared by both versions: the measurement series block.
-void decode_series(Lines& lines, Snapshot& snap) {
-  const auto tokens = expect_line(lines, "series", 2);
-  const std::uint64_t count = get_u64(tokens[1], lines.line_no());
-  snap.series.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto m = expect_line(lines, "m", 7);
-    core::Measurement meas;
-    meas.iteration = get_u64(m[1], lines.line_no());
-    meas.perimeter = get_i64(m[2], lines.line_no());
-    meas.edges = get_i64(m[3], lines.line_no());
-    meas.hetero_edges = get_i64(m[4], lines.line_no());
-    meas.perimeter_ratio = get_double(m[5], lines.line_no());
-    meas.hetero_fraction = get_double(m[6], lines.line_no());
-    snap.series.push_back(meas);
+  const std::uint64_t actual = fnv1a(text.substr(0, pos + 1));
+  if (actual != *declared) {
+    std::string hashed;
+    rec::put_hex16(hashed, actual);
+    throw SnapshotError("checkpoint: checksum mismatch (file says " +
+                        std::string(tok) + ", content hashes to " + hashed +
+                        ") — snapshot is corrupt or truncated");
   }
 }
 
-void decode_aux(Lines& lines, Snapshot& snap) {
-  std::vector<std::string_view> tokens;
-  if (!lines.next(tokens) || tokens[0] != "aux") {
-    bad(lines.line_no(), "expected 'aux' line");
-  }
-  if (tokens.size() < 2) bad(lines.line_no(), "missing aux count");
-  const std::uint64_t count = get_u64(tokens[1], lines.line_no());
-  if (tokens.size() != 2 + count) {
-    bad(lines.line_no(), "aux count does not match declared count");
-  }
-  snap.aux.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    snap.aux.push_back(get_double(tokens[2 + i], lines.line_no()));
-  }
-  if (!snap.aux.empty() && !snap.complete) {
-    bad(lines.line_no(), "partial snapshots must not carry aux values");
-  }
-}
-
-// v1 body: typed separation fields (params/rng/counters + particle
-// list). Parsed with the original grammar, then lifted into the
-// separation model's state-line block so the rest of the stack sees one
-// representation. The lift re-serializes through the same hexfloat/hex
-// formatters that wrote the v1 file, so values stay bit-exact.
-void decode_v1_body(Lines& lines, Snapshot& snap) {
-  double lambda = 0.0;
-  double gamma = 0.0;
-  bool swaps_enabled = true;
-  util::Rng::State rng{};
-  core::SeparationChain::Counters counters;
-  std::vector<lattice::Node> positions;
-  std::vector<system::Color> colors;
-
+Snapshot parse(std::string_view text) {
+  rec::Cursor in(text);
+  in.header(kMagic, kSnapshotVersion, "checkpoint");
+  Snapshot snap;
+  snap.job = in.expect("job", 1).token();
+  snap.model = in.expect("model", 1).token();
+  snap.spec_hash = in.expect("spec", 1).hex16();
   {
-    const auto tokens = expect_line(lines, "params", 4);
-    lambda = get_double(tokens[1], lines.line_no());
-    gamma = get_double(tokens[2], lines.line_no());
-    if (tokens[3] == "1") {
-      swaps_enabled = true;
-    } else if (tokens[3] == "0") {
-      swaps_enabled = false;
-    } else {
-      bad(lines.line_no(), "swaps flag must be 0 or 1");
-    }
+    rec::Line task = in.expect("task", 2);
+    snap.task_index = task.u64();
+    snap.task_seed = task.u64();
   }
   {
-    const auto tokens = expect_line(lines, "rng", 5);
-    for (std::size_t i = 0; i < 4; ++i) {
-      rng[i] = get_hex16(tokens[1 + i], lines.line_no());
+    rec::Line status = in.expect("status", 1);
+    const std::string_view word = status.token();
+    if (word != "partial" && word != "complete") {
+      status.fail("must be 'partial' or 'complete'");
     }
+    snap.complete = word == "complete";
+  }
+  // Counts are checked against the lines left before they size a
+  // reserve().
+  const std::uint64_t n_series = in.block("series");
+  snap.series.reserve(n_series);
+  for (std::uint64_t i = 0; i < n_series; ++i) {
+    snap.series.push_back(shard::get_measurement(in));
   }
   {
-    const auto tokens = expect_line(lines, "counters", 9);
-    counters.steps = get_u64(tokens[1], lines.line_no());
-    counters.move_proposals = get_u64(tokens[2], lines.line_no());
-    counters.moves_accepted = get_u64(tokens[3], lines.line_no());
-    counters.rejected_five = get_u64(tokens[4], lines.line_no());
-    counters.rejected_locality = get_u64(tokens[5], lines.line_no());
-    counters.rejected_metropolis = get_u64(tokens[6], lines.line_no());
-    counters.swap_proposals = get_u64(tokens[7], lines.line_no());
-    counters.swaps_accepted = get_u64(tokens[8], lines.line_no());
-  }
-  decode_series(lines, snap);
-  decode_aux(lines, snap);
-  {
-    const auto tokens = expect_line(lines, "particles", 2);
-    const std::uint64_t count = get_u64(tokens[1], lines.line_no());
-    positions.reserve(count);
-    colors.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto p = expect_line(lines, "p", 4);
-      lattice::Node node;
-      const std::int64_t x = get_i64(p[1], lines.line_no());
-      const std::int64_t y = get_i64(p[2], lines.line_no());
-      if (x < INT32_MIN || x > INT32_MAX || y < INT32_MIN || y > INT32_MAX) {
-        bad(lines.line_no(), "particle coordinate out of int32 range");
-      }
-      node.x = static_cast<std::int32_t>(x);
-      node.y = static_cast<std::int32_t>(y);
-      const std::uint64_t color = get_u64(p[3], lines.line_no());
-      if (color >= system::kMaxColors) {
-        bad(lines.line_no(), "particle color out of range");
-      }
-      positions.push_back(node);
-      colors.push_back(static_cast<system::Color>(color));
+    rec::Line aux = in.expect("aux");
+    snap.aux = aux.f64s();
+    if (!snap.aux.empty() && !snap.complete) {
+      aux.fail("partial snapshots must not carry aux values");
     }
   }
-
-  snap.model = "separation";
-  if (rng == util::Rng::State{} && positions.empty()) {
-    // v1 stateless completion snapshot (fn-backed task): no live state.
-    snap.state.clear();
-  } else {
-    snap.state = model::encode_separation_state(
-        lambda, gamma, swaps_enabled, rng, counters, positions, colors);
-  }
-}
-
-void decode_v2_body(Lines& lines, Snapshot& snap) {
-  decode_series(lines, snap);
-  decode_aux(lines, snap);
-  {
-    const auto tokens = expect_line(lines, "state", 2);
-    const std::uint64_t count = get_u64(tokens[1], lines.line_no());
-    snap.state.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::vector<std::string_view> s;
-      if (!lines.next(s)) {
-        bad(lines.line_no() + 1, "unexpected end of input (wanted 's')");
-      }
-      if (s[0] != "s" || s.size() < 2) {
-        bad(lines.line_no(), "expected 's' state line");
-      }
-      // Rejoin the tokens: the grammar admits only single spaces, so
-      // this reconstructs the model's line byte-for-byte.
-      std::string line(s[1]);
-      for (std::size_t t = 2; t < s.size(); ++t) {
-        line += ' ';
-        line += s[t];
-      }
-      snap.state.push_back(std::move(line));
-    }
+  // The state block keeps each model line verbatim: `s` plus the line.
+  rec::Line state = in.expect("state", 1);
+  const std::uint64_t n_state = in.records(state);
+  snap.state.reserve(n_state);
+  for (std::uint64_t i = 0; i < n_state; ++i) {
+    rec::Line s = in.expect("s");
+    if (s.arity() == 0) s.fail("empty model state line");
+    snap.state.emplace_back(s.rest());
   }
   if (!snap.complete && snap.state.empty()) {
-    bad(lines.line_no(), "partial snapshots must carry model state");
+    state.fail("partial snapshots must carry model state");
   }
+  in.expect("checksum", 1);  // verified before parsing; consume in sequence
+  in.expect("end", 0);
+  in.finish();
+  return snap;
 }
 
 }  // namespace
@@ -354,11 +128,11 @@ std::string task_filename(std::string_view job, std::uint64_t task_index) {
 }
 
 std::string encode(const Snapshot& snap) {
-  if (!is_token(snap.job)) {
+  if (!rec::is_token(snap.job)) {
     throw std::invalid_argument(
         "checkpoint: job name must be one nonempty token");
   }
-  if (!is_token(snap.model)) {
+  if (!rec::is_token(snap.model)) {
     throw std::invalid_argument(
         "checkpoint: model tag must be one nonempty token");
   }
@@ -367,7 +141,7 @@ std::string encode(const Snapshot& snap) {
         "checkpoint: partial snapshots must carry model state");
   }
   for (const std::string& line : snap.state) {
-    if (!is_state_line(line)) {
+    if (!rec::is_line(line)) {
       throw std::invalid_argument(
           "checkpoint: model state lines must be single-space token lines");
     }
@@ -377,43 +151,28 @@ std::string encode(const Snapshot& snap) {
 
   out += kMagic;
   out += " v";
-  put_u64(out, kSnapshotVersion);
+  rec::put_u64(out, kSnapshotVersion);
   out += "\njob ";
   out += snap.job;
   out += "\nmodel ";
   out += snap.model;
   out += "\nspec ";
-  put_hex16(out, snap.spec_hash);
+  rec::put_hex16(out, snap.spec_hash);
   out += "\ntask ";
-  put_u64(out, snap.task_index);
+  rec::put_u64(out, snap.task_index);
   out += ' ';
-  put_u64(out, snap.task_seed);
+  rec::put_u64(out, snap.task_seed);
   out += "\nstatus ";
   out += snap.complete ? "complete" : "partial";
   out += "\nseries ";
-  put_u64(out, snap.series.size());
+  rec::put_u64(out, snap.series.size());
   for (const core::Measurement& m : snap.series) {
-    out += "\nm ";
-    put_u64(out, m.iteration);
-    out += ' ';
-    put_i64(out, m.perimeter);
-    out += ' ';
-    put_i64(out, m.edges);
-    out += ' ';
-    put_i64(out, m.hetero_edges);
-    out += ' ';
-    put_double(out, m.perimeter_ratio);
-    out += ' ';
-    put_double(out, m.hetero_fraction);
+    shard::put_measurement(out, m);
   }
   out += "\naux ";
-  put_u64(out, snap.aux.size());
-  for (const double v : snap.aux) {
-    out += ' ';
-    put_double(out, v);
-  }
+  rec::put_counted(out, snap.aux);
   out += "\nstate ";
-  put_u64(out, snap.state.size());
+  rec::put_u64(out, snap.state.size());
   for (const std::string& line : snap.state) {
     out += "\ns ";
     out += line;
@@ -422,115 +181,20 @@ std::string encode(const Snapshot& snap) {
   // The checksum covers every byte written so far — including the final
   // newline before the checksum line, so truncation at any line boundary
   // is also detected.
+  const std::uint64_t checksum = fnv1a(out);
   out += "checksum ";
-  put_hex16(out, fnv1a(out.substr(0, out.size() - 9)));
+  rec::put_hex16(out, checksum);
   out += "\nend\n";
   return out;
 }
 
 Snapshot decode(std::string_view text) {
-  // Integrity first: locate the checksum line from the back and verify
-  // it over the byte prefix before trusting any field. This turns every
-  // flavor of corruption — bit flips, truncation, hand edits — into one
-  // unambiguous "checksum mismatch" instead of a downstream grammar
-  // error that might accidentally parse.
-  {
-    const auto pos = text.rfind("\nchecksum ");
-    if (pos == std::string_view::npos) {
-      throw SnapshotError("checkpoint: missing checksum line");
-    }
-    const std::string_view rest = text.substr(pos + 10);
-    const auto nl = rest.find('\n');
-    if (nl == std::string_view::npos) {
-      throw SnapshotError("checkpoint: malformed checksum line");
-    }
-    std::uint64_t declared = 0;
-    const std::string_view tok = rest.substr(0, nl);
-    const auto [ptr, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), declared, 16);
-    if (tok.size() != 16 || ec != std::errc{} ||
-        ptr != tok.data() + tok.size()) {
-      throw SnapshotError("checkpoint: malformed checksum line");
-    }
-    const std::uint64_t actual = fnv1a(text.substr(0, pos + 1));
-    if (actual != declared) {
-      std::ostringstream os;
-      os << "checkpoint: checksum mismatch (file says ";
-      os << tok << ", content hashes to ";
-      char buf[17];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(actual));
-      os << buf << ") — snapshot is corrupt or truncated";
-      throw SnapshotError(os.str());
-    }
+  verify_checksum(text);
+  try {
+    return parse(text);
+  } catch (const rec::Error& e) {
+    throw SnapshotError(std::string("checkpoint: ") + e.what());
   }
-
-  Lines lines(text);
-  Snapshot snap;
-  std::uint64_t version = 0;
-
-  {
-    std::vector<std::string_view> tokens;
-    if (!lines.next(tokens)) bad(1, "empty input");
-    if (tokens.size() != 2 || tokens[0] != kMagic) {
-      bad(lines.line_no(), "not a sops checkpoint file (bad magic line)");
-    }
-    if (tokens[1].size() < 2 || tokens[1][0] != 'v') {
-      bad(lines.line_no(), "malformed version token");
-    }
-    version = get_u64(tokens[1].substr(1), lines.line_no());
-    if (version < kSnapshotVersionMin || version > kSnapshotVersion) {
-      std::ostringstream os;
-      os << "unsupported checkpoint version v" << version
-         << " (reader speaks v" << kSnapshotVersionMin << "-v"
-         << kSnapshotVersion << ")";
-      bad(lines.line_no(), os.str());
-    }
-  }
-  {
-    const auto tokens = expect_line(lines, "job", 2);
-    snap.job = std::string(tokens[1]);
-  }
-  if (version >= 2) {
-    const auto tokens = expect_line(lines, "model", 2);
-    snap.model = std::string(tokens[1]);
-  }
-  // v1 predates multi-model jobs; every v1 snapshot is a separation
-  // snapshot (the struct default, re-stamped by decode_v1_body).
-  {
-    const auto tokens = expect_line(lines, "spec", 2);
-    snap.spec_hash = get_hex16(tokens[1], lines.line_no());
-  }
-  {
-    const auto tokens = expect_line(lines, "task", 3);
-    snap.task_index = get_u64(tokens[1], lines.line_no());
-    snap.task_seed = get_u64(tokens[2], lines.line_no());
-  }
-  {
-    const auto tokens = expect_line(lines, "status", 2);
-    if (tokens[1] == "complete") {
-      snap.complete = true;
-    } else if (tokens[1] == "partial") {
-      snap.complete = false;
-    } else {
-      bad(lines.line_no(), "status must be 'partial' or 'complete'");
-    }
-  }
-  if (version == 1) {
-    decode_v1_body(lines, snap);
-  } else {
-    decode_v2_body(lines, snap);
-  }
-  expect_line(lines, "checksum", 2);  // verified above; consume in sequence
-  {
-    const auto tokens = expect_line(lines, "end", 1);
-    (void)tokens;
-    std::vector<std::string_view> extra;
-    if (lines.next(extra)) {
-      bad(lines.line_no(), "trailing content after 'end'");
-    }
-  }
-  return snap;
 }
 
 void write_snapshot(const std::string& path, const Snapshot& snap) {
@@ -562,22 +226,7 @@ void write_snapshot(const std::string& path, const Snapshot& snap) {
 }
 
 Snapshot read_snapshot(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    throw std::runtime_error("checkpoint: cannot open '" + path +
-                             "' for reading");
-  }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, in)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    throw std::runtime_error("checkpoint: read error on '" + path + "'");
-  }
+  const std::string text = rec::read_file(path, "checkpoint");
   try {
     return decode(text);
   } catch (const SnapshotError& e) {

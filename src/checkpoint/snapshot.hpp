@@ -7,7 +7,8 @@
 // Restoring a snapshot and continuing the run produces a trajectory
 // byte-identical to the uninterrupted one.
 //
-// The format follows the shard wire's discipline (src/shard/wire.hpp):
+// The format shares the shard wire's line grammar (src/util/record.hpp)
+// and its `m` measurement record:
 //
 //  * Parse-or-fail. Fixed keywords and token counts per line; any
 //    deviation throws SnapshotError naming the line and field. No
@@ -20,10 +21,8 @@
 //  * Crash-safe. write_snapshot() writes to `<path>.tmp`, fsyncs, then
 //    rename(2)s over `path` — a kill -9 at any instant leaves either the
 //    previous complete snapshot or the new one, never a torn file.
-//  * Versioned. Line 1 names the format; readers reject unknown
-//    versions. v1 (separation-only: typed params/rng/counters/particles
-//    lines) still parses — its body is lifted into the equivalent
-//    model-state block, so pre-v2 checkpoint directories resume cleanly.
+//  * Versioned. Line 1 names the format; readers reject every version
+//    but their own.
 //
 // Identity: every snapshot records the owning job's name, its model
 // tag, a spec hash over the job's entire wire header (model, grid,
@@ -49,11 +48,8 @@ namespace sops::checkpoint {
 
 // v2 replaced the separation-typed body (params/rng/counters/particles)
 // with a `model` tag plus an opaque model-state block, making the codec
-// model-generic.
+// model-generic. Only v2 is read.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
-
-// Oldest version read_snapshot()/decode() still accept.
-inline constexpr std::uint32_t kSnapshotVersionMin = 1;
 
 /// Malformed snapshot input. `what()` names the offending line or field.
 class SnapshotError : public std::runtime_error {
@@ -77,9 +73,8 @@ struct Snapshot {
   std::vector<double> aux;                ///< complete snapshots only
 
   /// ChainModel::save_state() lines, stored verbatim (grammar owned by
-  /// the model; decoded v1 bodies are lifted into the separation
-  /// model's grammar). Empty only on stateless completion snapshots;
-  /// partial snapshots must carry state.
+  /// the model). Empty only on stateless completion snapshots; partial
+  /// snapshots must carry state.
   std::vector<std::string> state;
 };
 
@@ -97,9 +92,8 @@ struct Snapshot {
 /// Serializes a snapshot (checksum line included).
 [[nodiscard]] std::string encode(const Snapshot& snap);
 
-/// Parses a complete snapshot document (v1 or v2). Strict: throws
-/// SnapshotError on any grammar deviation, version skew, or checksum
-/// mismatch.
+/// Parses a complete snapshot document. Strict: throws SnapshotError on
+/// any grammar deviation, version skew, or checksum mismatch.
 [[nodiscard]] Snapshot decode(std::string_view text);
 
 /// Atomically replaces `path` with the encoded snapshot (tmp + fsync +

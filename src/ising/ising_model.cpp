@@ -7,13 +7,12 @@
 
 #include "src/lattice/shapes.hpp"
 #include "src/model/registry.hpp"
-#include "src/model/state.hpp"
 
 namespace sops::ising {
 
 namespace {
 
-namespace st = sops::model::state;
+namespace rec = util::record;
 
 class IsingChainModel final : public model::ChainModel {
  public:
@@ -62,27 +61,20 @@ class IsingChainModel final : public model::ChainModel {
     out.reserve(4);
     {
       std::string line = "params ";
-      st::put_i64(line, radius_);
+      rec::put_i64(line, radius_);
       line += ' ';
-      st::put_double(line, ising_.coupling());
+      rec::put_double(line, ising_.coupling());
       out.push_back(std::move(line));
     }
-    {
-      std::string line = "rng";
-      for (const std::uint64_t w : ising_.rng_state()) {
-        line += ' ';
-        st::put_hex16(line, w);
-      }
-      out.push_back(std::move(line));
-    }
+    out.push_back(model::rng_line(ising_.rng_state()));
     {
       std::string line = "counters ";
-      st::put_u64(line, steps_);
+      rec::put_u64(line, steps_);
       out.push_back(std::move(line));
     }
     {
       std::string line = "spins ";
-      st::put_u64(line, ising_.size());
+      rec::put_u64(line, ising_.size());
       for (const std::int8_t s : ising_.spins()) {
         line += (s > 0) ? " 1" : " 0";
       }
@@ -101,60 +93,22 @@ class IsingChainModel final : public model::ChainModel {
 
 std::unique_ptr<model::ChainModel> restore_ising(
     std::span<const std::string> lines) {
-  std::size_t at = 0;
-  const auto params =
-      st::expect(st::line_at(lines, at++, "params"), "params", 3);
-  const std::int64_t radius = st::get_i64(params[1], "params");
-  if (radius < 1 || radius > 256) {
-    throw model::ModelError("params: radius out of range");
-  }
-  const double coupling = st::get_double(params[2], "params");
-
-  const auto rng_toks = st::expect(st::line_at(lines, at++, "rng"), "rng", 5);
-  util::Rng::State rng{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    rng[i] = st::get_hex16(rng_toks[1 + i], "rng");
-  }
-  if (rng == util::Rng::State{}) {
-    throw model::ModelError(
-        "rng state is all-zero — not a live chain state "
-        "(stateless completion snapshot, or corrupt)");
-  }
-
-  const auto cnt =
-      st::expect(st::line_at(lines, at++, "counters"), "counters", 2);
-  const std::uint64_t steps = st::get_u64(cnt[1], "counters");
-
-  const std::vector<std::string_view> spin_toks =
-      st::tokens(st::line_at(lines, at++, "spins"), "spins");
-  if (spin_toks.size() < 2 || spin_toks[0] != "spins") {
-    throw model::ModelError("spins: malformed spin line");
-  }
-  const std::uint64_t count = st::get_u64(spin_toks[1], "spins");
-  if (spin_toks.size() != 2 + count) {
-    throw model::ModelError("spins: spin count does not match declared count");
-  }
-  std::vector<std::int8_t> spins;
-  spins.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string_view tok = spin_toks[2 + i];
-    if (tok == "1") {
-      spins.push_back(1);
-    } else if (tok == "0") {
-      spins.push_back(-1);
-    } else {
-      throw model::ModelError("spins: spin values must be 0 or 1");
-    }
-  }
-  if (at != lines.size()) {
-    throw model::ModelError("state: trailing content after spin list");
-  }
+  rec::Cursor in(lines);
+  rec::Line params = in.expect("params", 2);
+  const std::int64_t radius = params.i64();
+  if (radius < 1 || radius > 256) params.fail("radius out of range");
+  const double coupling = params.f64();
+  const util::Rng::State rng = model::read_rng(in);
+  const std::uint64_t steps = in.expect("counters", 1).u64();
+  rec::Line spin_line = in.expect("spins");
+  std::vector<std::int8_t> spins(spin_line.count());
+  for (std::int8_t& s : spins) s = spin_line.flag() ? 1 : -1;
+  in.finish();
 
   const std::vector<lattice::Node> region =
       lattice::hexagon(static_cast<std::int32_t>(radius));
-  if (region.size() != count) {
-    throw model::ModelError(
-        "spins: spin count does not match the region for this radius");
+  if (region.size() != spins.size()) {
+    spin_line.fail("spin count does not match the region for this radius");
   }
   IsingModel ising(region, coupling, steps + 1);
   ising.set_spins(spins);
@@ -172,7 +126,7 @@ std::unique_ptr<model::ChainModel> build_ising(
     const std::string key = eq == std::string::npos ? p : p.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : p.substr(eq + 1);
     if (key == "radius") {
-      radius = st::parse_u64_param("params: radius", value);
+      radius = model::param_u64("params: radius", value);
       radius_set = true;
     } else {
       throw model::ModelError("params: unknown key '" + key +

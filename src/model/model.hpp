@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/runner.hpp"
+#include "src/util/record.hpp"
 
 namespace sops::model {
 
@@ -98,6 +99,42 @@ std::vector<core::Measurement> run_with_checkpoints(
     ChainModel& model, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const ChainModel&, std::uint64_t)>&
         on_checkpoint = {});
+
+// ---- Pieces shared by the built-in models' state and param grammars ----
+//
+// save_state() blocks are util::record lines; Factory::restore reads
+// them with a record::Cursor. The registry reports the cursor's grammar
+// errors, and construction failures of the restored system, as
+// ModelError("state: …").
+
+/// `rng <hex16>×4`.
+[[nodiscard]] std::string rng_line(const util::Rng::State& state);
+
+/// Reads an `rng` line, refusing the all-zero state (not a live chain:
+/// a stateless completion snapshot, or corrupt).
+[[nodiscard]] util::Rng::State read_rng(util::record::Cursor& in);
+
+/// Appends `particles <n>` and one `p <x> <y> <color>` line per
+/// particle.
+void put_particles(std::vector<std::string>& out,
+                   const system::ParticleSystem& sys);
+
+/// Reads the particles block back. Refuses an empty list, colors at or
+/// above `n_colors` (named `color_name` in the error), and coordinates
+/// beyond ±2^30, which keeps every neighbor step and coordinate
+/// difference the lattice takes in int32.
+[[nodiscard]] system::ParticleSystem read_particles(
+    util::record::Cursor& in, std::uint64_t n_colors,
+    std::string_view color_name);
+
+/// Parses one "key=value" param value for Factory::build. Throws
+/// ModelError "<field>: expected unsigned integer, got '<token>'"
+/// (param_double: "expected number") — phrased so the service layer's
+/// "service: job 'X': " prefix composes into its refusal format.
+[[nodiscard]] std::uint64_t param_u64(std::string_view field,
+                                      std::string_view token);
+[[nodiscard]] double param_double(std::string_view field,
+                                  std::string_view token);
 
 /// Equilibrium sampling: runs `burn_in` steps, then records `samples`
 /// measurements `interval` steps apart (the first at `burn_in` itself),

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
+
+#include "src/util/record.hpp"
 
 namespace sops::model {
 
@@ -35,6 +38,30 @@ void register_model(Factory factory) {
     throw ModelError("register_model: factory for '" + factory.tag +
                      "' must provide both build and restore");
   }
+  // One place turns a model's bad-input failures into ModelError: the
+  // record grammar of a state block, and the std::invalid_argument its
+  // constructors throw for a configuration they refuse (a duplicate
+  // node, λ <= 0, …), which would otherwise escape callers that catch
+  // ModelError.
+  factory.build = [build = std::move(factory.build)](
+                      std::span<const std::string> params,
+                      const TaskPoint& point) {
+    try {
+      return build(params, point);
+    } catch (const std::invalid_argument& e) {
+      throw ModelError(e.what());
+    }
+  };
+  factory.restore = [restore = std::move(factory.restore)](
+                        std::span<const std::string> state) {
+    try {
+      return restore(state);
+    } catch (const util::record::Error& e) {
+      throw ModelError(std::string("state: ") + e.what());
+    } catch (const std::invalid_argument& e) {
+      throw ModelError(std::string("state: ") + e.what());
+    }
+  };
   const std::scoped_lock lock(registry_mutex());
   registry_map().try_emplace(factory.tag, std::move(factory));
 }

@@ -49,7 +49,9 @@ struct Factory {
       build;
 
   /// Rebuilds a live trajectory from ChainModel::save_state() lines.
-  /// Throws ModelError on malformed or non-live state.
+  /// Throws ModelError on malformed or non-live state (register_model
+  /// reports util::record grammar errors and std::invalid_argument from
+  /// construction as ModelError too, for build and restore alike).
   std::function<std::unique_ptr<ChainModel>(
       std::span<const std::string> state)>
       restore;

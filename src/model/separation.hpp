@@ -5,9 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "src/core/markov_chain.hpp"
 #include "src/model/model.hpp"
@@ -26,21 +23,6 @@ inline constexpr std::string_view kSeparationTag = "separation";
 /// the separation model.
 [[nodiscard]] const core::SeparationChain& separation_chain(
     const ChainModel& model);
-
-/// Serializes raw separation state into the model's state-line grammar:
-///   params <λ> <γ> <0|1>
-///   rng <hex16> ×4
-///   counters <u64> ×8
-///   particles <n>
-///   p <x> <y> <color> ×n
-/// Shared with the checkpoint codec, which uses it to lift v1 snapshot
-/// bodies (the same fields, typed) into v2 model-state blocks.
-[[nodiscard]] std::vector<std::string> encode_separation_state(
-    double lambda, double gamma, bool swaps_enabled,
-    const util::Rng::State& rng,
-    const core::SeparationChain::Counters& counters,
-    std::span<const lattice::Node> positions,
-    std::span<const system::Color> colors);
 
 /// Registers the "separation" factory: params blob=N (required),
 /// colors=K (default 2), swaps=0|1 (default 1); each task builds its

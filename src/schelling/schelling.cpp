@@ -15,10 +15,10 @@ SchellingModel::SchellingModel(std::int32_t radius, double vacancy,
                                double tolerance, std::uint64_t seed)
     : tolerance_(tolerance), rng_(seed) {
   if (radius < 1) throw std::invalid_argument("SchellingModel: radius < 1");
-  if (vacancy <= 0.0 || vacancy >= 1.0) {
+  if (!(vacancy > 0.0 && vacancy < 1.0)) {
     throw std::invalid_argument("SchellingModel: vacancy must be in (0,1)");
   }
-  if (tolerance < 0.0 || tolerance > 1.0) {
+  if (!(tolerance >= 0.0 && tolerance <= 1.0)) {
     throw std::invalid_argument("SchellingModel: tolerance must be in [0,1]");
   }
 

@@ -5,13 +5,12 @@
 #include <vector>
 
 #include "src/model/registry.hpp"
-#include "src/model/state.hpp"
 
 namespace sops::schelling {
 
 namespace {
 
-namespace st = sops::model::state;
+namespace rec = util::record;
 
 class SchellingChainModel final : public model::ChainModel {
  public:
@@ -59,41 +58,34 @@ class SchellingChainModel final : public model::ChainModel {
     out.reserve(5);
     {
       std::string line = "params ";
-      st::put_i64(line, radius_);
+      rec::put_i64(line, radius_);
       line += ' ';
-      st::put_double(line, vacancy_);
+      rec::put_double(line, vacancy_);
       line += ' ';
-      st::put_double(line, schelling_.tolerance());
+      rec::put_double(line, schelling_.tolerance());
       out.push_back(std::move(line));
     }
-    {
-      std::string line = "rng";
-      for (const std::uint64_t w : schelling_.rng_state()) {
-        line += ' ';
-        st::put_hex16(line, w);
-      }
-      out.push_back(std::move(line));
-    }
+    out.push_back(model::rng_line(schelling_.rng_state()));
     {
       std::string line = "counters ";
-      st::put_u64(line, steps_);
+      rec::put_u64(line, steps_);
       out.push_back(std::move(line));
     }
     {
       std::string line = "sites ";
-      st::put_u64(line, schelling_.site_count());
+      rec::put_u64(line, schelling_.site_count());
       for (const Site s : schelling_.sites()) {
         line += ' ';
-        st::put_u64(line, static_cast<std::uint64_t>(s));
+        rec::put_u64(line, static_cast<std::uint64_t>(s));
       }
       out.push_back(std::move(line));
     }
     {
       std::string line = "vacancies ";
-      st::put_u64(line, schelling_.vacancies().size());
+      rec::put_u64(line, schelling_.vacancies().size());
       for (const std::uint32_t v : schelling_.vacancies()) {
         line += ' ';
-        st::put_u64(line, v);
+        rec::put_u64(line, v);
       }
       out.push_back(std::move(line));
     }
@@ -113,82 +105,34 @@ class SchellingChainModel final : public model::ChainModel {
 
 std::unique_ptr<model::ChainModel> restore_schelling(
     std::span<const std::string> lines) {
-  std::size_t at = 0;
-  const auto params =
-      st::expect(st::line_at(lines, at++, "params"), "params", 4);
-  const std::int64_t radius = st::get_i64(params[1], "params");
-  if (radius < 1 || radius > 256) {
-    throw model::ModelError("params: radius out of range");
-  }
-  const double vacancy = st::get_double(params[2], "params");
-  const double tolerance = st::get_double(params[3], "params");
-
-  const auto rng_toks = st::expect(st::line_at(lines, at++, "rng"), "rng", 5);
-  util::Rng::State rng{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    rng[i] = st::get_hex16(rng_toks[1 + i], "rng");
-  }
-  if (rng == util::Rng::State{}) {
-    throw model::ModelError(
-        "rng state is all-zero — not a live chain state "
-        "(stateless completion snapshot, or corrupt)");
-  }
-
-  const auto cnt =
-      st::expect(st::line_at(lines, at++, "counters"), "counters", 2);
-  const std::uint64_t steps = st::get_u64(cnt[1], "counters");
-
-  const std::vector<std::string_view> site_toks =
-      st::tokens(st::line_at(lines, at++, "sites"), "sites");
-  if (site_toks.size() < 2 || site_toks[0] != "sites") {
-    throw model::ModelError("sites: malformed site line");
-  }
-  const std::uint64_t n_sites = st::get_u64(site_toks[1], "sites");
-  if (site_toks.size() != 2 + n_sites) {
-    throw model::ModelError("sites: site count does not match declared count");
-  }
+  rec::Cursor in(lines);
+  rec::Line params = in.expect("params", 3);
+  const std::int64_t radius = params.i64();
+  if (radius < 1 || radius > 256) params.fail("radius out of range");
+  const double vacancy = params.f64();
+  const double tolerance = params.f64();
+  const util::Rng::State rng = model::read_rng(in);
+  const std::uint64_t steps = in.expect("counters", 1).u64();
+  rec::Line site_line = in.expect("sites");
   std::vector<Site> sites;
-  sites.reserve(n_sites);
-  for (std::uint64_t i = 0; i < n_sites; ++i) {
-    const std::uint64_t v = st::get_u64(site_toks[2 + i], "sites");
-    if (v > 2) throw model::ModelError("sites: site values must be 0, 1, or 2");
+  for (const std::uint64_t v : site_line.u64s()) {
+    if (v > 2) site_line.fail("site values must be 0, 1, or 2");
     sites.push_back(static_cast<Site>(v));
   }
-
-  const std::vector<std::string_view> vac_toks =
-      st::tokens(st::line_at(lines, at++, "vacancies"), "vacancies");
-  if (vac_toks.size() < 2 || vac_toks[0] != "vacancies") {
-    throw model::ModelError("vacancies: malformed vacancy line");
-  }
-  const std::uint64_t n_vac = st::get_u64(vac_toks[1], "vacancies");
-  if (vac_toks.size() != 2 + n_vac) {
-    throw model::ModelError(
-        "vacancies: vacancy count does not match declared count");
-  }
+  rec::Line vacancy_line = in.expect("vacancies");
   std::vector<std::uint32_t> vacancies;
-  vacancies.reserve(n_vac);
-  for (std::uint64_t i = 0; i < n_vac; ++i) {
-    const std::uint64_t v = st::get_u64(vac_toks[2 + i], "vacancies");
-    if (v >= n_sites) {
-      throw model::ModelError("vacancies: index outside the site vector");
-    }
+  for (const std::uint64_t v : vacancy_line.u64s()) {
+    if (v >= sites.size()) vacancy_line.fail("index outside the site vector");
     vacancies.push_back(static_cast<std::uint32_t>(v));
   }
-  if (at != lines.size()) {
-    throw model::ModelError("state: trailing content after vacancy list");
-  }
+  in.finish();
 
   SchellingModel schelling(static_cast<std::int32_t>(radius), vacancy,
                            tolerance, steps + 1);
-  if (schelling.site_count() != n_sites) {
-    throw model::ModelError(
-        "sites: site count does not match the region for this radius");
+  if (schelling.site_count() != sites.size()) {
+    site_line.fail("site count does not match the region for this radius");
   }
-  try {
-    schelling.set_sites(sites, vacancies);
-  } catch (const std::invalid_argument& e) {
-    throw model::ModelError(std::string("sites: ") + e.what());
-  }
+  schelling.set_sites(sites, vacancies);
   schelling.set_rng_state(rng);
   return make_schelling(std::move(schelling),
                         static_cast<std::int32_t>(radius), vacancy, steps);
@@ -205,10 +149,10 @@ std::unique_ptr<model::ChainModel> build_schelling(
     const std::string key = eq == std::string::npos ? p : p.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : p.substr(eq + 1);
     if (key == "radius") {
-      radius = st::parse_u64_param("params: radius", value);
+      radius = model::param_u64("params: radius", value);
       radius_set = true;
     } else if (key == "vacancy") {
-      vacancy = st::parse_double_param("params: vacancy", value);
+      vacancy = model::param_double("params: vacancy", value);
       vacancy_set = true;
     } else {
       throw model::ModelError("params: unknown key '" + key +

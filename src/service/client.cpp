@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "src/util/record.hpp"
+
 namespace sops::service {
 
 namespace {
@@ -10,15 +12,12 @@ namespace {
 std::uint64_t parse_arg_u64(const Frame& frame, std::size_t index,
                             const char* field) {
   const std::string& token = frame.args.at(index);
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(token, &consumed);
-    if (consumed != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> value = util::record::parse_u64(token);
+  if (!value) {
     throw ProtocolError(std::string("service: response: ") + field +
                         ": expected unsigned integer, got '" + token + "'");
   }
+  return *value;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string_view>
 
 #include "src/core/coloring.hpp"
@@ -13,6 +12,7 @@
 #include "src/model/registry.hpp"
 #include "src/model/separation.hpp"
 #include "src/service/protocol.hpp"
+#include "src/util/record.hpp"
 #include "src/util/rng.hpp"
 
 namespace sops::service {
@@ -44,20 +44,12 @@ void require_separation(const shard::JobSpec& job) {
 std::uint64_t parse_u64_field(const shard::JobSpec& job,
                               const std::string& field,
                               std::string_view token) {
-  if (token.empty()) bad(job, field, "expected unsigned integer, got ''");
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      bad(job, field,
-          "expected unsigned integer, got '" + std::string(token) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      bad(job, field, "value out of range: '" + std::string(token) + "'");
-    }
-    value = value * 10 + digit;
+  const std::optional<std::uint64_t> value = util::record::parse_u64(token);
+  if (!value) {
+    bad(job, field,
+        "expected unsigned integer, got '" + std::string(token) + "'");
   }
-  return value;
+  return *value;
 }
 
 /// Finds the "key=value" param and returns its value. Every recipe

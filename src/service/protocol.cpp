@@ -1,10 +1,12 @@
 #include "src/service/protocol.hpp"
 
 #include <array>
-#include <cstdio>
-#include <limits>
+
+#include "src/util/record.hpp"
 
 namespace sops::service {
+
+namespace rec = util::record;
 
 namespace {
 
@@ -40,60 +42,9 @@ const TypeSpec& type_spec(FrameType type) {
   throw std::invalid_argument("service: unknown FrameType value");
 }
 
-/// Splits a header line into single-space-separated nonempty tokens.
-/// Doubled spaces and leading/trailing spaces are grammar violations —
-/// the frame writer is ours, so any slack would only mask corruption.
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t space = line.find(' ', start);
-    const std::string_view tok =
-        line.substr(start, space == std::string_view::npos ? std::string_view::npos
-                                                           : space - start);
-    if (tok.empty()) {
-      throw ProtocolError(
-          "service: header: empty token (doubled or trailing space)");
-    }
-    tokens.push_back(tok);
-    if (space == std::string_view::npos) break;
-    start = space + 1;
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(std::string_view token, const char* field) {
-  if (token.empty() || token[0] < '0' || token[0] > '9') {
-    throw ProtocolError(std::string("service: header: ") + field +
-                        ": expected unsigned integer, got '" +
-                        std::string(token) + "'");
-  }
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      throw ProtocolError(std::string("service: header: ") + field +
-                          ": expected unsigned integer, got '" +
-                          std::string(token) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      throw ProtocolError(std::string("service: header: ") + field +
-                          ": value out of range: '" + std::string(token) + "'");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 }  // namespace
 
 const char* frame_type_name(FrameType type) { return type_spec(type).name; }
-
-std::size_t frame_arg_count(FrameType type) { return type_spec(type).args; }
-
-bool frame_requires_payload(FrameType type) {
-  return type_spec(type).payload_required;
-}
 
 std::string encode_frame(const Frame& frame) {
   const TypeSpec& spec = type_spec(frame.type);
@@ -104,7 +55,7 @@ std::string encode_frame(const Frame& frame) {
         std::to_string(frame.args.size()));
   }
   for (const std::string& arg : frame.args) {
-    if (arg.empty() || arg.find_first_of(" \t\n\r") != std::string::npos) {
+    if (!rec::is_token(arg)) {
       throw std::invalid_argument(
           std::string("service: encode: '") + spec.name +
           "' frame arg must be a single nonempty token, got '" + arg + "'");
@@ -122,14 +73,18 @@ std::string encode_frame(const Frame& frame) {
     throw std::invalid_argument("service: encode: payload exceeds " +
                                 std::to_string(kMaxPayloadBytes) + " bytes");
   }
-  std::string out = "sops-service-wire v" +
-                    std::to_string(kServiceWireVersion) + " " + spec.name;
+  std::string out;
+  out.reserve(48 + frame.payload.size());
+  out += "sops-service-wire v";
+  rec::put_u64(out, kServiceWireVersion);
+  out += ' ';
+  out += spec.name;
   for (const std::string& arg : frame.args) {
     out += ' ';
     out += arg;
   }
   out += ' ';
-  out += std::to_string(frame.payload.size());
+  rec::put_u64(out, frame.payload.size());
   out += '\n';
   out += frame.payload;
   return out;
@@ -140,62 +95,75 @@ Header parse_header(std::string_view line) {
     throw ProtocolError("service: header: line exceeds " +
                         std::to_string(kMaxHeaderBytes) + " bytes");
   }
-  const std::vector<std::string_view> tokens = tokenize(line);
-  if (tokens.size() < 4) {
+  rec::Line h = [line] {
+    try {
+      return rec::Line(line, 0);
+    } catch (const rec::Error& e) {
+      throw ProtocolError(std::string("service: header: ") + e.what());
+    }
+  }();
+  if (h.arity() < 3) {
     throw ProtocolError(
         "service: header: expected 'sops-service-wire v" +
         std::to_string(kServiceWireVersion) +
         " <type> [args...] <payload_bytes>', got '" + std::string(line) + "'");
   }
-  if (tokens[0] != "sops-service-wire") {
+  if (h.keyword() != "sops-service-wire") {
     throw ProtocolError("service: header: magic: expected 'sops-service-wire'"
-                        ", got '" + std::string(tokens[0]) + "'");
+                        ", got '" + std::string(h.keyword()) + "'");
   }
-  const std::string expect_version = "v" + std::to_string(kServiceWireVersion);
-  if (tokens[1] != expect_version) {
+  std::string expect_version = "v";
+  rec::put_u64(expect_version, kServiceWireVersion);
+  if (const std::string_view version = h.token(); version != expect_version) {
     throw ProtocolError("service: header: version: expected '" +
-                        expect_version + "', got '" + std::string(tokens[1]) +
+                        expect_version + "', got '" + std::string(version) +
                         "'");
   }
+  const std::string_view name = h.token();
   const TypeSpec* spec = nullptr;
   for (const TypeSpec& s : kTypes) {
-    if (tokens[2] == s.name) {
+    if (name == s.name) {
       spec = &s;
       break;
     }
   }
   if (spec == nullptr) {
     throw ProtocolError("service: header: frame type: unknown type '" +
-                        std::string(tokens[2]) + "'");
+                        std::string(name) + "'");
   }
-  // magic + version + type + args + payload_bytes
-  if (tokens.size() != 3 + spec->args + 1) {
+  // args + payload_bytes
+  if (h.left() != spec->args + 1) {
     throw ProtocolError(
         std::string("service: header: '") + spec->name + "' frame takes " +
         std::to_string(spec->args) + " args, got " +
-        std::to_string(tokens.size() - 4) + " in '" + std::string(line) + "'");
+        std::to_string(h.left() - 1) + " in '" + std::string(line) + "'");
   }
   Header header;
   header.type = spec->type;
   for (std::size_t i = 0; i < spec->args; ++i) {
-    header.args.emplace_back(tokens[3 + i]);
+    header.args.emplace_back(h.token());
   }
-  const std::uint64_t bytes =
-      parse_u64(tokens.back(), "payload byte count");
-  if (bytes > kMaxPayloadBytes) {
+  const std::string_view count = h.token();
+  const std::optional<std::uint64_t> bytes = rec::parse_u64(count);
+  if (!bytes) {
+    throw ProtocolError(
+        "service: header: payload byte count: expected unsigned integer, "
+        "got '" + std::string(count) + "'");
+  }
+  if (*bytes > kMaxPayloadBytes) {
     throw ProtocolError("service: header: payload byte count: " +
-                        std::to_string(bytes) + " exceeds the " +
+                        std::to_string(*bytes) + " exceeds the " +
                         std::to_string(kMaxPayloadBytes) + "-byte ceiling");
   }
-  if (bytes == 0 && spec->payload_required) {
+  if (*bytes == 0 && spec->payload_required) {
     throw ProtocolError(std::string("service: header: '") + spec->name +
                         "' frame requires a nonempty payload");
   }
-  if (bytes != 0 && !spec->payload_allowed) {
+  if (*bytes != 0 && !spec->payload_allowed) {
     throw ProtocolError(std::string("service: header: '") + spec->name +
                         "' frame must not carry a payload");
   }
-  header.payload_bytes = static_cast<std::size_t>(bytes);
+  header.payload_bytes = static_cast<std::size_t>(*bytes);
   return header;
 }
 

@@ -1,9 +1,10 @@
 // v3 service wire: request/response framing for the sweep server.
 //
-// The service protocol is a framed extension of the v2 shard wire
-// format (src/shard/wire.hpp): a frame is one header line plus an exact
+// The service protocol is a framed extension of the shard wire format
+// (src/shard/wire.hpp): a frame is one header line plus an exact
 // byte-counted payload, and every payload that carries scientific data
-// is a complete v2 shard document. The header grammar is
+// is a complete shard document (wire v3). The header is one record of
+// the shared line grammar (src/util/record.hpp):
 //
 //   sops-service-wire v3 <type> [<arg>...] <payload_bytes>\n
 //   <payload_bytes bytes of payload>
@@ -15,7 +16,7 @@
 //    count, short payload, trailing bytes — each throws ProtocolError
 //    naming the offending field. There is no partial decode: a frame
 //    either parses completely or leaves no state behind.
-//  * Exact bytes. Submissions and results travel as v2 shard documents,
+//  * Exact bytes. Submissions and results travel as shard documents,
 //    hexfloat doubles included, so a socket-submitted job's report is
 //    byte-identical to the batch harness's.
 //  * Versioned. v3 is the service framing layer; the embedded documents
@@ -66,7 +67,7 @@ class ProtocolError : public std::runtime_error {
 
 enum class FrameType {
   // Requests.
-  kSubmit,      ///< payload: v2 job document with zero results
+  kSubmit,      ///< payload: shard job document with zero results
   kStatus,      ///< args: job id
   kResult,      ///< args: job id
   kCancel,      ///< args: job id
@@ -76,7 +77,7 @@ enum class FrameType {
   kAccepted,    ///< args: job id, queue depth after enqueue
   kRefused,     ///< args: reason token; payload: human-readable detail
   kStatusOk,    ///< args: job id, state token, done tasks, total tasks
-  kResultOk,    ///< args: job id; payload: canonical v2 result document
+  kResultOk,    ///< args: job id; payload: canonical result document
   kCancelOk,    ///< args: job id, state token after the request
   kPong,        ///<
   kShutdownOk,  ///<
@@ -85,14 +86,6 @@ enum class FrameType {
 
 /// Canonical single-token name of a frame type ("submit", "status-ok", …).
 [[nodiscard]] const char* frame_type_name(FrameType type);
-
-/// Exact argument count the header grammar fixes for `type`.
-[[nodiscard]] std::size_t frame_arg_count(FrameType type);
-
-/// True for the types whose grammar requires a nonempty payload
-/// (submit, result-ok). refused/error may carry one; all others must
-/// not.
-[[nodiscard]] bool frame_requires_payload(FrameType type);
 
 /// One decoded frame. `args` are single space-free tokens.
 struct Frame {
@@ -157,7 +150,7 @@ inline constexpr const char* kRefusedShuttingDown = "shutting-down";
 
 // --- Embedded-document payload codecs ---
 
-/// Encodes a submission payload: the job header as a v2 shard document
+/// Encodes a submission payload: the job header as a shard document
 /// carrying zero results (manifest {1, 0, tasks}). Throws
 /// std::invalid_argument via shard::encode on specs that cannot
 /// round-trip.

@@ -6,9 +6,10 @@
 // and the dense expected task table), followed by this shard's
 // `TaskResult` records. Design rules:
 //
-//  * Parse-or-fail. Every line has a fixed keyword and token count; any
-//    deviation — wrong magic, unknown version, short file, trailing
-//    bytes, out-of-order records — throws WireError with a line number.
+//  * Parse-or-fail. Every line has a fixed keyword and token count
+//    (the util::record grammar); any deviation — wrong magic, unknown
+//    version, short file, trailing bytes, out-of-order records, a count
+//    larger than the input — throws WireError with a line number.
 //    There are no defaults and no "best effort" recovery: a truncated
 //    scp is a refused file, not a silently shorter sweep.
 //  * Exact doubles. All floating-point values are serialized as C99
@@ -34,18 +35,15 @@
 #include <vector>
 
 #include "src/engine/ensemble.hpp"
+#include "src/util/record.hpp"
 
 namespace sops::shard {
 
 // v2 added the `manifest` line (expected shard-file count + this file's
 // task range) so an incomplete merge can name the missing *file*, not
 // just the missing task indices. v3 added the `model` line naming the
-// model family every task runs; v2 documents still decode, with the
-// model defaulting to "separation" (the only model v2 could carry).
+// model family every task runs. Only v3 is read.
 inline constexpr std::uint32_t kWireVersion = 3;
-
-// Oldest version decode() still accepts.
-inline constexpr std::uint32_t kWireVersionMin = 2;
 
 /// Malformed wire input. `what()` includes the 1-based line number.
 class WireError : public std::runtime_error {
@@ -60,10 +58,9 @@ class WireError : public std::runtime_error {
 struct JobSpec {
   std::string name;        ///< harness identifier; single token, no spaces
 
-  /// Registry tag of the model family every task runs (wire v3; v2
-  /// documents decode to "separation"). Part of job identity: shards
-  /// from different models never merge, and the checkpoint spec hash
-  /// covers it.
+  /// Registry tag of the model family every task runs. Part of job
+  /// identity: shards from different models never merge, and the
+  /// checkpoint spec hash covers it.
   std::string model = "separation";
 
   engine::GridSpec grid;   ///< axes + replicas + seeding policy
@@ -139,5 +136,12 @@ void write_shard_file(const std::string& path, const JobSpec& job,
 /// Reads and decode()s `path`. Throws std::runtime_error if unreadable,
 /// WireError if malformed (message includes the path).
 [[nodiscard]] ShardFile read_shard_file(const std::string& path);
+
+/// The `m` record that carries one Measurement, in the wire and in
+/// checkpoint snapshots alike:
+///   m <iteration> <perimeter> <edges> <hetero_edges> <p_ratio> <h_frac>
+/// put_measurement appends it as a new line ("\nm …").
+void put_measurement(std::string& out, const core::Measurement& m);
+[[nodiscard]] core::Measurement get_measurement(util::record::Cursor& in);
 
 }  // namespace sops::shard

@@ -13,16 +13,18 @@
 #include "src/core/coloring.hpp"
 #include "src/core/runner.hpp"
 #include "src/lattice/shapes.hpp"
+#include "src/model/builtin.hpp"
 #include "src/model/separation.hpp"
 #include "src/shard/harness.hpp"
+#include "tests/codec_fixtures.hpp"
 
 namespace sops::checkpoint {
 namespace {
 
-// restore_model dispatches through the registry, so the separation
-// factory must be registered before any test decodes a snapshot.
+// restore_model dispatches through the registry, so the model
+// factories must be registered before any test decodes a snapshot.
 const bool kModelsRegistered = [] {
-  model::register_separation_model();
+  model::ensure_builtin_models();
   return true;
 }();
 
@@ -61,39 +63,7 @@ std::string rechecksum(std::string text) {
   return text;
 }
 
-Snapshot sample_snapshot() {
-  Snapshot snap;
-  snap.job = "ckpt_test";
-  snap.model = "separation";
-  snap.spec_hash = 0xdeadbeefcafef00dULL;
-  snap.task_index = 3;
-  snap.task_seed = 991;
-  snap.complete = false;
-  core::Measurement m;
-  m.iteration = 1000;
-  m.perimeter = 18;
-  m.edges = 33;
-  m.hetero_edges = 7;
-  m.perimeter_ratio = 1.125;
-  m.hetero_fraction = -0.0;  // signed zero must survive
-  snap.series = {m};
-  core::SeparationChain::Counters counters;
-  counters.steps = 1234;
-  counters.move_proposals = 600;
-  counters.moves_accepted = 271;
-  counters.rejected_five = 31;
-  counters.rejected_locality = 12;
-  counters.rejected_metropolis = 286;
-  counters.swap_proposals = 634;
-  counters.swaps_accepted = 100;
-  const util::Rng::State rng = {1, 0xffffffffffffffffULL, 42, 7};
-  const std::vector<lattice::Node> positions = {{0, 0}, {1, 0}, {-3, 2}};
-  const std::vector<system::Color> colors = {0, 1, 1};
-  // γ with awkward bits: the hexfloat lines must round-trip it exactly.
-  snap.state = model::encode_separation_state(
-      4.0, 0x1.5555555555555p-2, true, rng, counters, positions, colors);
-  return snap;
-}
+using fixtures::sample_snapshot;
 
 // ---- snapshot format ----------------------------------------------------
 
@@ -185,12 +155,11 @@ TEST(Snapshot, DecodeRejectsAuxOnPartial) {
   EXPECT_THROW((void)decode(rechecksum(text)), SnapshotError);
 }
 
-TEST(Snapshot, V1SeparationDocumentsStillParse) {
-  // A pre-refactor v1 snapshot, grammar frozen: typed params/rng/
-  // counters/particles lines instead of a model-state block. The reader
-  // must lift it into the separation model's state grammar so old
-  // checkpoint directories resume under the v2 codec.
-  std::string v1 =
+TEST(Snapshot, V1DocumentsAreRefusedAsUnsupported) {
+  // A pre-seam v1 snapshot (typed params/rng/counters/particles lines
+  // instead of a model-state block). Nothing writes v1 any more, so even
+  // with a valid checksum it is refused by version.
+  const std::string v1 =
       "sops-checkpoint v1\n"
       "job legacy\n"
       "spec 00000000deadbeef\n"
@@ -209,26 +178,58 @@ TEST(Snapshot, V1SeparationDocumentsStillParse) {
       "p -3 2 1\n"
       "checksum 0000000000000000\n"
       "end\n";
-  const Snapshot snap = decode(rechecksum(v1));
-  EXPECT_EQ(snap.job, "legacy");
-  EXPECT_EQ(snap.model, "separation");
-  EXPECT_EQ(snap.spec_hash, 0xdeadbeefULL);
-  EXPECT_EQ(snap.task_index, 2u);
-  EXPECT_EQ(snap.task_seed, 77u);
-  EXPECT_FALSE(snap.complete);
-  ASSERT_EQ(snap.series.size(), 1u);
-  EXPECT_EQ(snap.series[0].iteration, 500u);
-  ASSERT_FALSE(snap.state.empty());
+  try {
+    (void)decode(rechecksum(v1));
+    FAIL() << "decoded a v1 snapshot";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unsupported checkpoint version v1 (reader speaks v2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
-  const auto m = restore_model(snap);
-  const core::SeparationChain& c = model::separation_chain(*m);
-  EXPECT_EQ(c.params().lambda, 4.0);
-  EXPECT_EQ(c.params().gamma, 0.25);
-  EXPECT_EQ(c.counters().steps, 500u);
-  EXPECT_EQ(c.counters().swaps_accepted, 40u);
-  ASSERT_EQ(c.system().size(), 3u);
-  EXPECT_EQ(c.system().positions()[2].x, -3);
-  EXPECT_EQ(c.rng_state()[3], 0xffu);
+TEST(Snapshot, DeclaredCountsBeyondTheInputAreSnapshotErrors) {
+  // A 2^62 series or state count once sized a reserve() and threw
+  // std::length_error; both are now checked against the lines left.
+  const std::string good = encode(sample_snapshot());
+  for (const char* key : {"series 1", "state 7"}) {
+    std::string bad = good;
+    const std::string k(key);
+    bad.replace(bad.find(k), k.size(),
+                k.substr(0, k.find(' ') + 1) + "4611686018427387904");
+    try {
+      (void)decode(rechecksum(bad));
+      FAIL() << "decoded a 2^62 count for " << key;
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Snapshot, RestoreModelRefusesBadConfigurationsByName) {
+  // The model's own refusals (a coordinate at the int32 edge, two
+  // particles on one node, a 2^62 particle count) reach restore_model's
+  // caller as SnapshotError, never as std::invalid_argument or UB.
+  for (const char* tag : {"separation", "alignment"}) {
+    SCOPED_TRACE(tag);
+    Snapshot snap = sample_snapshot();
+    snap.model = tag;
+    snap.state = model::require_model(tag)
+                     .build(std::vector<std::string>{"blob=5"},
+                            model::TaskPoint{0, 0, 2.0, 2.0, 3})
+                     ->save_state();
+    const std::vector<std::string> state = snap.state;
+    snap.state.back() = "p 2147483647 0 0";
+    EXPECT_THROW((void)restore_model(decode(encode(snap))), SnapshotError);
+    snap.state = state;
+    snap.state.back() = state[state.size() - 2];
+    EXPECT_THROW((void)restore_model(decode(encode(snap))), SnapshotError);
+    snap.state = state;
+    snap.state[3] = "particles 4611686018427387904";
+    EXPECT_THROW((void)restore_model(decode(encode(snap))), SnapshotError);
+  }
 }
 
 TEST(Snapshot, WriteIsAtomicReadBack) {

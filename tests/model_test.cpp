@@ -18,7 +18,6 @@
 #include "src/model/builtin.hpp"
 #include "src/model/registry.hpp"
 #include "src/model/separation.hpp"
-#include "src/model/state.hpp"
 #include "src/util/rng.hpp"
 
 namespace sops {
@@ -281,26 +280,67 @@ TEST(SeparationModel, DowncastRefusesOtherModels) {
   EXPECT_THROW((void)model::separation_chain(*alignment), model::ModelError);
 }
 
-// ---- state token codec ----------------------------------------------
+// ---- restore refuses bad configurations by name ----------------------
 
-TEST(StateCodec, DoublesRoundTripBitExact) {
-  std::string line;
-  model::state::put_double(line, 0.1);
-  EXPECT_EQ(model::state::get_double(line, "x"), 0.1);
-  EXPECT_EQ(line.find("0x"), 0u) << "hexfloat expected: " << line;
+TEST(BuiltinModels, RestoreRefusesOverflowingCoordinatesByName) {
+  // A particle at the int32 edge would overflow the lattice's neighbor
+  // arithmetic while the particle system is built; restore refuses it.
+  for (const char* tag : {"separation", "alignment"}) {
+    SCOPED_TRACE(tag);
+    const auto& factory = model::require_model(tag);
+    auto state = factory.build(std::vector<std::string>{"blob=6"},
+                               model::TaskPoint{0, 0, 2.0, 2.0, 5})
+                     ->save_state();
+    for (const char* edge : {"p 2147483647 0 0", "p 0 -2147483648 0",
+                             "p 1073741824 0 0"}) {
+      state.back() = edge;
+      try {
+        (void)factory.restore(state);
+        FAIL() << "restored " << edge;
+      } catch (const model::ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("beyond +-2^30"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
-TEST(StateCodec, MalformedTokensNameTheField) {
+TEST(BuiltinModels, RestoreRefusesDuplicateNodesByName) {
+  for (const char* tag : {"separation", "alignment"}) {
+    SCOPED_TRACE(tag);
+    const auto& factory = model::require_model(tag);
+    auto state = factory.build(std::vector<std::string>{"blob=6"},
+                               model::TaskPoint{0, 0, 2.0, 2.0, 5})
+                     ->save_state();
+    state.back() = state[state.size() - 2];  // two particles on one node
+    try {
+      (void)factory.restore(state);
+      FAIL() << "restored a duplicate node";
+    } catch (const model::ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate node"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(BuiltinModels, RestoreRefusesCountsBeyondTheBlock) {
+  // A declared particle count larger than the lines that follow is a
+  // named error before anything is allocated for it.
+  const auto& factory = model::require_model("separation");
+  auto state = factory.build(std::vector<std::string>{"blob=6"},
+                             model::TaskPoint{0, 0, 2.0, 2.0, 5})
+                   ->save_state();
+  state[3] = "particles 4611686018427387904";
   try {
-    (void)model::state::get_u64("12x", "counters");
-    FAIL() << "bad u64 accepted";
+    (void)factory.restore(state);
+    FAIL() << "restored a 2^62 particle count";
   } catch (const model::ModelError& e) {
-    EXPECT_NE(std::string(e.what()).find("counters"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("exceeds the 6 lines left"),
+              std::string::npos)
         << e.what();
   }
-  EXPECT_THROW((void)model::state::tokens("a  b", "line"), model::ModelError);
-  EXPECT_THROW((void)model::state::expect("rng 1 2", "params", 3),
-               model::ModelError);
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "src/lattice/shapes.hpp"
-#include "src/sops/io.hpp"
 #include "src/sops/render.hpp"
 #include "src/util/rng.hpp"
 
@@ -211,37 +209,6 @@ TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
     ASSERT_EQ(checked.particle_at(target), unchecked.particle_at(target))
         << "step " << step;
   }
-}
-
-TEST(IoTest, SaveLoadRoundTrip) {
-  ParticleSystem sys = two_color_triangle();
-  std::stringstream ss;
-  save_configuration(sys, ss);
-  const ParticleSystem loaded = load_configuration(ss);
-  ASSERT_EQ(loaded.size(), sys.size());
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const auto pi = static_cast<ParticleIndex>(i);
-    EXPECT_EQ(loaded.position(pi), sys.position(pi));
-    EXPECT_EQ(loaded.color(pi), sys.color(pi));
-  }
-  EXPECT_EQ(loaded.edge_count(), sys.edge_count());
-  EXPECT_EQ(loaded.hetero_edge_count(), sys.hetero_edge_count());
-}
-
-TEST(IoTest, LoadRejectsMalformed) {
-  std::stringstream bad1("1 2\n");
-  EXPECT_THROW(load_configuration(bad1), std::runtime_error);
-  std::stringstream bad2("0 0 99\n");
-  EXPECT_THROW(load_configuration(bad2), std::runtime_error);
-  std::stringstream empty("# just a comment\n");
-  EXPECT_THROW(load_configuration(empty), std::runtime_error);
-}
-
-TEST(IoTest, LoadSkipsCommentsAndBlankLines) {
-  std::stringstream ss("# header\n\n0 0 0\n1 0 1\n");
-  const ParticleSystem sys = load_configuration(ss);
-  EXPECT_EQ(sys.size(), 2u);
-  EXPECT_EQ(sys.color(1), 1);
 }
 
 TEST(RenderTest, AsciiShowsBothGlyphs) {

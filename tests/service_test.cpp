@@ -22,6 +22,7 @@
 #include "src/service/socket.hpp"
 #include "src/shard/harness.hpp"
 #include "src/shard/wire.hpp"
+#include "tests/codec_fixtures.hpp"
 
 namespace {
 
@@ -59,23 +60,7 @@ std::string test_socket(const char* tag) {
 // --- Frame codec: round-trips ---
 
 TEST(ServiceProtocolTest, EveryFrameTypeRoundTrips) {
-  const std::vector<service::Frame> frames = {
-      {service::FrameType::kSubmit, {}, "payload bytes\nwith newline"},
-      {service::FrameType::kStatus, {"j42"}, ""},
-      {service::FrameType::kResult, {"j42"}, ""},
-      {service::FrameType::kCancel, {"j42"}, ""},
-      {service::FrameType::kPing, {}, ""},
-      {service::FrameType::kShutdown, {}, ""},
-      {service::FrameType::kAccepted, {"j42", "3"}, ""},
-      {service::FrameType::kRefused, {"queue-full"}, "queue holds 64 jobs"},
-      {service::FrameType::kStatusOk, {"j42", "running", "2", "16"}, ""},
-      {service::FrameType::kResultOk, {"j42"}, "doc"},
-      {service::FrameType::kCancelOk, {"j42", "cancelled"}, ""},
-      {service::FrameType::kPong, {}, ""},
-      {service::FrameType::kShutdownOk, {}, ""},
-      {service::FrameType::kError, {"magic"}, "detail text"},
-  };
-  for (const service::Frame& frame : frames) {
+  for (const service::Frame& frame : fixtures::sample_frames()) {
     const std::string bytes = service::encode_frame(frame);
     const service::Frame back = service::decode_frame(bytes);
     EXPECT_EQ(back.type, frame.type)
@@ -256,6 +241,24 @@ TEST(ServiceJobsTest, BadParamsAreRefusedNamingTheField) {
   }
 }
 
+TEST(ServiceJobsTest, ConstructorRefusalsAreBadJobs) {
+  // A chain constructor refuses λ <= 0 with std::invalid_argument; the
+  // registry reports it as a ModelError, so the submit is refused as a
+  // bad job instead of escaping the server's handler.
+  shard::JobSpec job = small_job(1, 12, 100);
+  job.grid.lambdas = {0.0};
+  job.tasks = engine::grid_tasks(job.grid);
+  try {
+    (void)service::build_program(job);
+    FAIL() << "built a program with lambda = 0";
+  } catch (const service::JobError& e) {
+    EXPECT_EQ(e.reason(), service::kRefusedBadJob);
+    EXPECT_NE(std::string(e.what()).find("lambda and gamma must be > 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServiceJobsTest, UnknownModelTagIsRefusedAsUnknownModel) {
   // A syntactically fine job whose model tag nobody registered is a
   // named synchronous refusal — its own reason token, distinct from
@@ -288,10 +291,10 @@ TEST(ServiceJobsTest, UnknownModelTagIsRefusedAsUnknownModel) {
   }
 }
 
-TEST(ServiceJobsTest, ModelFieldSurvivesPayloadVersionSkew) {
-  // v3 payloads carry the model line verbatim; a v2 payload (pre-model
-  // wire) decodes with the default separation tag, so version-skewed
-  // clients keep submitting the jobs they always did.
+TEST(ServiceJobsTest, ModelFieldSurvivesAndV2PayloadsAreRefused) {
+  // Payloads carry the model line verbatim. A v2 payload (pre-model
+  // wire) is refused by version: nothing writes v2 any more, so the
+  // server no longer guesses its model.
   shard::JobSpec job = small_job(2, 16, 500);
   job.model = "alignment";
   job.params = {"blob=16"};
@@ -306,7 +309,14 @@ TEST(ServiceJobsTest, ModelFieldSurvivesPayloadVersionSkew) {
   const auto mpos = v2.find("model separation\n");
   ASSERT_NE(mpos, std::string::npos);
   v2.erase(mpos, std::string("model separation\n").size());
-  EXPECT_EQ(service::decode_job_payload(v2).model, "separation");
+  try {
+    (void)service::decode_job_payload(v2);
+    FAIL() << "decoded a v2 payload";
+  } catch (const service::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported wire version v2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Engine cancel token ---
@@ -466,6 +476,32 @@ TEST(ServiceServerTest, MalformedBytesGetAnErrorFrameThenClose) {
   EXPECT_NE(reply->payload.find("version"), std::string::npos);
   // The connection is closed after a framing error.
   EXPECT_FALSE(raw.recv().has_value());
+
+  service::Client client(socket_path);
+  client.shutdown_server();
+  server.wait();
+}
+
+TEST(ServiceServerTest, HugeDeclaredCountGetsAnErrorFrame) {
+  // A submit whose task count is 2^62 once escaped the payload decoder
+  // as std::length_error and the server closed the connection without a
+  // word. It is a wire error now, answered with an `error` frame.
+  const std::string socket_path = test_socket("hugecount");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+
+  std::string payload = service::encode_job_payload(small_job(2, 12, 100));
+  payload.replace(payload.find("tasks 2"), 7, "tasks 4611686018427387904");
+  service::FrameChannel raw(service::connect_unix(socket_path));
+  raw.send({service::FrameType::kSubmit, {}, payload});
+  const std::optional<service::Frame> reply = raw.recv();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, service::FrameType::kError);
+  EXPECT_NE(reply->payload.find("exceeds the"), std::string::npos)
+      << reply->payload;
 
   service::Client client(socket_path);
   client.shutdown_server();

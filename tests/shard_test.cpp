@@ -17,6 +17,7 @@
 #include "src/shard/harness.hpp"
 #include "src/shard/merge.hpp"
 #include "src/shard/plan.hpp"
+#include "tests/codec_fixtures.hpp"
 
 namespace sops::shard {
 namespace {
@@ -29,47 +30,8 @@ std::uint64_t bits_of(double v) {
 
 // ---- wire round-trip ----------------------------------------------------
 
-JobSpec tricky_job() {
-  JobSpec job;
-  job.name = "shard_test_job";
-  job.model = "alignment";  // non-default tag must survive the wire
-  job.grid.lambdas = {1.5, 4.0};
-  job.grid.gammas = {0.5};
-  job.grid.replicas = 2;
-  job.grid.base_seed = 42;
-  job.grid.derive_seeds = true;
-  job.checkpoints = {0, 10000};
-  job.params = {"n=30", "alpha=3"};
-  job.tasks = engine::grid_tasks(job.grid);
-  return job;
-}
-
-std::vector<engine::TaskResult> tricky_results(const JobSpec& job) {
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<engine::TaskResult> results;
-
-  engine::TaskResult a;  // adversarial doubles in every float slot
-  a.task = job.tasks[0];
-  a.steps = 10000;
-  core::Measurement m;
-  m.iteration = 10000;
-  m.perimeter = -3;  // signed fields stay signed on the wire
-  m.edges = 77;
-  m.hetero_edges = 0;
-  m.perimeter_ratio = kNan;
-  m.hetero_fraction = -kInf;
-  a.series = {m};
-  a.aux = {kNan, kInf, -0.0, 5e-324 /* smallest denormal */, -1.0 / 3.0};
-  a.wall_seconds = 123.0;  // telemetry: must NOT survive the wire
-  results.push_back(a);
-
-  engine::TaskResult b;  // empty series, no aux
-  b.task = job.tasks[2];
-  b.steps = 0;
-  results.push_back(b);
-  return results;
-}
+using fixtures::tricky_job;
+using fixtures::tricky_results;
 
 TEST(Wire, RoundTripIsBitExactAndByteStable) {
   const JobSpec job = tricky_job();
@@ -112,29 +74,50 @@ TEST(Wire, RoundTripIsBitExactAndByteStable) {
   EXPECT_TRUE(b.aux.empty());
 }
 
-TEST(Wire, V2DocumentsDecodeWithTheDefaultModelTag) {
-  // A v2 wire file predates the model line; the reader must default the
-  // tag to "separation" so pre-refactor shard files still merge.
+TEST(Wire, V2DocumentsAreRefusedAsUnsupported) {
+  // v2 predates the model line. Nothing writes it any more, so the
+  // reader refuses it by version rather than guessing the model.
   JobSpec job = tricky_job();
   job.model = "separation";
-  std::string text = encode(job, tricky_results(job));
-  const auto vpos = text.find(" v3\n");
-  ASSERT_NE(vpos, std::string::npos);
-  text.replace(vpos, 4, " v2\n");
-  const auto mpos = text.find("model separation\n");
-  ASSERT_NE(mpos, std::string::npos);
-  text.erase(mpos, std::string("model separation\n").size());
+  std::string v2 = encode(job, tricky_results(job));
+  v2.replace(v2.find(" v3\n"), 4, " v2\n");
+  v2.erase(v2.find("model separation\n"),
+           std::string("model separation\n").size());
+  try {
+    (void)decode(v2);
+    FAIL() << "decoded a v2 document";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "wire: line 1: unsupported wire version v2 (reader speaks "
+                  "v3)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
-  const ShardFile decoded = decode(text);
-  EXPECT_EQ(decoded.job.model, "separation");
-  EXPECT_EQ(decoded.job.name, job.name);
-  ASSERT_EQ(decoded.results.size(), 2u);
-
-  // A v2 document carrying a model line is malformed — the line joined
-  // the grammar in v3.
-  std::string hybrid = encode(job, tricky_results(job));
-  hybrid.replace(hybrid.find(" v3\n"), 4, " v2\n");
-  EXPECT_THROW((void)decode(hybrid), WireError);
+TEST(Wire, DeclaredCountsBeyondTheInputAreWireErrors) {
+  // A count of 2^62 once sized a reserve() and threw std::length_error;
+  // every counted block is now checked against the lines left.
+  const JobSpec job = tricky_job();
+  const std::string good = encode(job, tricky_results(job));
+  for (const char* key : {"params 2", "tasks 4", "results 2", "r 0 10000 1"}) {
+    std::string bad = good;
+    const std::string k(key);
+    const std::string huge = k.substr(0, k.rfind(' ') + 1) +
+                             "4611686018427387904";
+    bad.replace(bad.find(k), k.size(), huge);
+    try {
+      (void)decode(bad);
+      FAIL() << "decoded " << huge;
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::string bad_axis = good;
+  bad_axis.replace(bad_axis.find("grid.gammas 1"), 13,
+                   "grid.gammas 4611686018427387904");
+  EXPECT_THROW((void)decode(bad_axis), WireError);
 }
 
 TEST(Wire, EncodeRejectsUnencodableSpecs) {
@@ -168,6 +151,7 @@ TEST(Wire, DecodeIsStrict) {
 
   expect_rejected("", "empty input");
   expect_rejected("sops-shard-wire v4\n", "unknown version");
+  expect_rejected("sops-shard-wire v2\n", "retired version");
   expect_rejected("sops-shard-wire v1\n", "obsolete version");
   expect_rejected("not-a-shard-file v3\n", "bad magic");
 
