@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "src/core/markov_chain.hpp"
-#include "src/core/runner.hpp"
 #include "src/harness/harness.hpp"
 #include "src/ising/ising.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/model/registry.hpp"
+#include "src/model/separation.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/stats.hpp"
 
@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
                      "iters=" + std::to_string(opt.scaled(4000000))};
 
     sw.fn = [samples, opt](const engine::Task& t) {
-      core::SeparationChain chain = core::make_compression_chain(
-          lattice::line(100), t.lambda, t.seed);
-      chain.run(opt.scaled(4000000));
-      return core::sample_equilibrium(chain, 0, 20000, samples);
+      const auto sep = model::make_separation(core::make_compression_chain(
+          lattice::line(100), t.lambda, t.seed));
+      sep->run(opt.scaled(4000000));
+      return model::sample_equilibrium(*sep, 0, 20000, samples);
     };
 
     sw.report = [](const harness::Options& opt,

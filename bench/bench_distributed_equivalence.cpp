@@ -17,9 +17,9 @@
 #include "src/amoebot/simulator.hpp"
 #include "src/core/coloring.hpp"
 #include "src/core/markov_chain.hpp"
-#include "src/core/runner.hpp"
 #include "src/harness/harness.hpp"
 #include "src/lattice/shapes.hpp"
+#include "src/model/separation.hpp"
 #include "src/sops/invariants.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/stats.hpp"
@@ -87,15 +87,15 @@ int main(int argc, char** argv) {
       Row& row = (*rows)[t.index];
       if (t.index == 0) {
         // Centralized reference.
-        core::SeparationChain chain(system::ParticleSystem(nodes, colors),
-                                    params, t.seed);
-        chain.run(opt.scaled(2000000));
-        core::sample_equilibrium(chain, 0, 20000, samples,
-                                 [&](const core::SeparationChain& c) {
-                                   const auto m = core::measure(c);
-                                   p_ratio.add(m.perimeter_ratio);
-                                   hetero.add(m.hetero_fraction);
-                                 });
+        const auto sep = model::make_separation(core::SeparationChain(
+            system::ParticleSystem(nodes, colors), params, t.seed));
+        sep->run(opt.scaled(2000000));
+        model::sample_equilibrium(*sep, 0, 20000, samples,
+                                  [&](const model::ChainModel& c) {
+                                    const auto m = c.measure();
+                                    p_ratio.add(m.perimeter_ratio);
+                                    hetero.add(m.hetero_fraction);
+                                  });
       } else {
         amoebot::Simulator sim(amoebot::World(nodes, colors), params, t.seed,
                                kSchedulers[t.index - 1].scheduler);

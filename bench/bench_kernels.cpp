@@ -18,7 +18,6 @@
 #include "src/core/locality.hpp"
 #include "src/core/markov_chain.hpp"
 #include "src/core/replica_band.hpp"
-#include "src/core/step_pipeline.hpp"
 #include "src/harness/harness.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/metrics/separation.hpp"
@@ -76,44 +75,17 @@ void BM_ChainStep_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 
-// The batched run loop (src/core/step_pipeline.hpp) against the
-// per-call step() above: same burn-in, same steady-state regime, items
-// = chain steps. Arg pair = (n, pipeline block size); each timing
-// iteration advances the trajectory by one fixed 4096-step chunk so the
-// per-iteration work is identical across block sizes and the comparison
-// against BM_ChainStep is steps-for-steps.
-constexpr std::uint64_t kPipelineChunk = 4096;
+// Every timing iteration of the batched benchmarks below advances each
+// trajectory by one fixed 4096-step chunk, so the comparison against
+// BM_ChainStep is steps-for-steps.
+constexpr std::uint64_t kChunk = 4096;
 
-void BM_RunPipeline(benchmark::State& state) {
-  core::SeparationChain chain =
-      make_chain(static_cast<std::size_t>(state.range(0)), 42);
-  chain.run(kStepBurnIn);
-  core::StepPipeline pipeline(chain,
-                              static_cast<std::size_t>(state.range(1)));
-  const std::uint64_t probes_before = chain.system().occupancy_lookups();
-  for (auto _ : state) {
-    pipeline.run(kPipelineChunk);
-  }
-  const auto steps = static_cast<std::int64_t>(state.iterations()) *
-                     static_cast<std::int64_t>(kPipelineChunk);
-  state.SetItemsProcessed(steps);
-  state.counters["probes_per_step"] = benchmark::Counter(
-      static_cast<double>(chain.system().occupancy_lookups() - probes_before) /
-      static_cast<double>(steps));
-}
-BENCHMARK(BM_RunPipeline)
-    ->ArgPair(400, 64)
-    ->ArgPair(400, 256)
-    ->ArgPair(400, 1024)
-    ->ArgPair(1600, 64)
-    ->ArgPair(1600, 256)
-    ->ArgPair(1600, 1024);
-
-// The across-replica band engine (src/core/replica_band.hpp) against
-// the single-chain pipeline above. Arg pair = (n, band width); each
-// timing iteration advances EVERY lane by one 4096-step chunk, so
-// items = aggregate chain steps across the band and items/s divided by
-// BM_RunPipeline's items/s is the per-core replica throughput ratio.
+// The batched executor (src/core/replica_band.hpp). Arg pair = (n, band
+// width); each timing iteration advances EVERY lane by one chunk, so
+// items = aggregate chain steps across the band. Width 1 is the
+// single-chain row — SeparationChain::run and the separation model run
+// on it — and items/s at width W divided by the width-1 items/s is the
+// per-core replica throughput ratio.
 // Lanes use distinct seeds — the arena sees genuinely diverged
 // configurations, not eight copies of one trajectory. The simd counter
 // records whether the AVX2 path was active (0 under SOPS_FORCE_SCALAR
@@ -141,10 +113,10 @@ void BM_ReplicaBand(benchmark::State& state) {
     accepts0 += c.counters().moves_accepted + c.counters().swaps_accepted;
   }
   for (auto _ : state) {
-    band.run(kPipelineChunk);
+    band.run(kChunk);
   }
   const auto steps = static_cast<std::int64_t>(state.iterations()) *
-                     static_cast<std::int64_t>(kPipelineChunk) *
+                     static_cast<std::int64_t>(kChunk) *
                      static_cast<std::int64_t>(width);
   state.SetItemsProcessed(steps);
   const core::ReplicaBand::Stats& st = band.stats();

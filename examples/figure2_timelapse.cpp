@@ -11,8 +11,8 @@
 
 #include "src/core/coloring.hpp"
 #include "src/core/markov_chain.hpp"
-#include "src/core/runner.hpp"
 #include "src/lattice/shapes.hpp"
+#include "src/model/separation.hpp"
 #include "src/sops/render.hpp"
 #include "src/util/cli.hpp"
 
@@ -47,15 +47,17 @@ int main(int argc, char** argv) {
   util::Rng rng(seed);
   const auto nodes = lattice::random_blob(100, rng);
   const auto colors = core::balanced_random_colors(100, 2, rng);
-  core::SeparationChain chain(system::ParticleSystem(nodes, colors),
-                              core::Params{4.0, 4.0, true}, seed);
+  const auto sep = model::make_separation(
+      core::SeparationChain(system::ParticleSystem(nodes, colors),
+                            core::Params{4.0, 4.0, true}, seed));
 
-  const auto history = core::run_with_checkpoints(
-      chain, checkpoints,
-      [&](const core::SeparationChain& c, std::uint64_t iteration) {
+  const auto history = model::run_with_checkpoints(
+      *sep, checkpoints,
+      [&](const model::ChainModel& m, std::uint64_t iteration) {
         const std::string path =
             outdir + "/fig2_" + std::to_string(iteration) + ".ppm";
-        system::render_image(c.system()).save_ppm(path);
+        system::render_image(model::separation_chain(m).system())
+            .save_ppm(path);
         std::printf("wrote %s\n", path.c_str());
       });
 

@@ -16,7 +16,9 @@
 #   warns, never gates CI — the script exits 0 unless the benchmark
 #   binary itself is missing/broken. Opt-in hard-fail mode: set
 #   SOPS_BENCH_STRICT=1 to exit 1 when any benchmark breaches the
-#   tolerance (for perf-gated CI lanes).
+#   tolerance (for perf-gated CI lanes). Rows on one side only print as
+#   NEW: (this run only) or REMOVED: (baseline only); both are
+#   informational and never trip SOPS_BENCH_STRICT.
 #
 #   --counters additionally checks the band engine's execution-path
 #   counters: on the AVX2 tier (CPU reports avx2, SOPS_FORCE_SCALAR
@@ -49,7 +51,7 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_RunPipeline/(400|1600)/(64|256|1024)|BM_ReplicaBand/(400|1600)/(1|8|16)|BM_PropertyCheck(_Reference)?$|BM_NeighborhoodGather$|BM_NeighborCount$'
+filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8|16)|BM_PropertyCheck(_Reference)?$|BM_NeighborhoodGather$|BM_NeighborCount$'
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
 trap 'rm -f "$raw"' EXIT
 
@@ -107,6 +109,15 @@ if (( compare )); then
        | select(.name as $n | $known | index($n) | not)
        | "NEW: \(.name): \(if .items_per_second then (.items_per_second | floor | tostring) + " items/s" else "\(.ns_per_op | floor) ns/op" end) — no baseline row; refresh with scripts/bench_kernels_snapshot.sh"]
     | .[]' -r)
+  # Baseline rows the run no longer has are deletions or renames: report
+  # them the same way, so a vanished row is seen rather than silently
+  # skipped by the comparison above.
+  removals=$(jq -n --slurpfile base "$baseline" --slurpfile cur "$current" '
+    ([$cur[0].benchmarks[].name]) as $have
+    | [$base[0].benchmarks[]
+       | select(.name as $n | $have | index($n) | not)
+       | "REMOVED: \(.name): in the baseline, not in this run; refresh with scripts/bench_kernels_snapshot.sh"]
+    | .[]' -r)
   # Coverage gate: the perf rows only mean what they claim if the band
   # actually ran its SIMD path. The fraction comes from the fresh raw
   # run (median aggregate), never from the baseline.
@@ -128,6 +139,7 @@ if (( compare )); then
   fi
   [[ -z $warnings ]] || printf '%s\n' "$warnings"
   [[ -z $additions ]] || printf '%s\n' "$additions"
+  [[ -z $removals ]] || printf '%s\n' "$removals"
   if [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 \
         && ( -n $warnings || -n $coverage ) ]]; then
     echo "FAIL: kernel perf regression beyond ${tolerance}% or band SIMD coverage below 90% (SOPS_BENCH_STRICT=1)" >&2

@@ -27,7 +27,7 @@
 #   SOPS_CI_TSAN      also configure a -DSOPS_SANITIZE=thread tree in
 #                     <build-dir>-tsan and run the race-check tiers
 #                     there: ctest -L 'core|engine|shard|checkpoint|…'
-#                     (the core tier carries the step-pipeline and
+#                     (the core tier carries the replica-band and
 #                     neighborhood equivalence tests; the checkpoint
 #                     tier races snapshot writers across the pool)
 set -euo pipefail
@@ -49,18 +49,17 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 echo "== ctest model tier (registry + alignment seam)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L model
 
-echo "== replica-band + step-pipeline scalar fallback (SOPS_FORCE_SCALAR=1)"
+echo "== replica-band scalar fallback (SOPS_FORCE_SCALAR=1)"
 # The default ctest pass above exercises the AVX2 path (on hardware that
 # has it); this one pins the scalar fallback to the same byte-identity
-# contract. The binary runs directly because the ctest registrations
-# were discovered without the env override.
+# contract. The band suite carries the width-1 (single-chain) cases too.
+# The binary runs directly because the ctest registrations were
+# discovered without the env override.
 SOPS_FORCE_SCALAR=1 "$build_dir"/tests/replica_band_test \
-  --gtest_brief=1
-SOPS_FORCE_SCALAR=1 "$build_dir"/tests/step_pipeline_test \
   --gtest_brief=1
 SOPS_FORCE_SCALAR=1 "$build_dir"/tests/engine_test \
   --gtest_brief=1 --gtest_filter='Ensemble.Banded*'
-echo "ok: band and pipeline equivalence tests pass with SIMD disabled"
+echo "ok: band equivalence tests pass with SIMD disabled"
 
 echo "== alignment smoke (report vs committed golden)"
 "$build_dir"/bench/bench_alignment_phase_diagram --threads 1 \

@@ -59,7 +59,6 @@ std::vector<core::Measurement> drive_model(
     std::uint64_t end, const Policy& policy, const std::string& path,
     const std::string& job_name, std::uint64_t hash, bool allow_partial,
     std::vector<core::Measurement> series) {
-  m.set_pipeline_block(job.pipeline_block);
   const std::uint64_t every =
       (allow_partial && !policy.dir.empty()) ? policy.every : 0;
 

@@ -1,5 +1,4 @@
-// Dense-mirror cell encodings shared by the pipeline's occupancy
-// mirror (step_pipeline.hpp) and the replica band's arena planes
+// Dense-mirror cell encodings of the replica band's arena planes
 // (replica_band.hpp).
 //
 // A cell is one occupancy slot of a bounding-box grid. Two layouts:

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "src/core/neighborhood.hpp"
-#include "src/core/step_pipeline.hpp"
+#include "src/core/replica_band.hpp"
 
 namespace sops::core {
 
@@ -187,7 +187,8 @@ bool SeparationChain::step_reference() {
 }
 
 void SeparationChain::run(std::uint64_t iterations) {
-  StepPipeline(*this).run(iterations);
+  SeparationChain* const self = this;
+  ReplicaBand(std::span<SeparationChain* const>(&self, 1)).run(iterations);
 }
 
 void SeparationChain::run_reference(std::uint64_t iterations) {

@@ -48,8 +48,6 @@ struct Params {
                                            const Params& p, lattice::Node l,
                                            int dir);
 
-class StepPipeline;
-
 class SeparationChain {
  public:
   struct Counters {
@@ -87,12 +85,13 @@ class SeparationChain {
   /// cross-checking and old-vs-new benchmarks.
   bool step_reference();
 
-  /// Runs `iterations` steps through the batched StepPipeline
-  /// (step_pipeline.hpp): RNG block refill, proposal pre-decode, and a
-  /// speculative execute walk. Byte-identical to the same number of
-  /// step() calls — same trajectory, counters, and final RNG state.
-  /// Long-lived drivers (core/runner) construct one StepPipeline and
-  /// reuse its buffers across segments instead of calling this.
+  /// Runs `iterations` steps on a width-1 ReplicaBand
+  /// (replica_band.hpp): block RNG refill, proposal pre-decode, and an
+  /// execute walk over a dense occupancy arena. Byte-identical to the
+  /// same number of step() calls — same trajectory, counters, and final
+  /// RNG state. Long-lived owners (model::make_separation) keep one band
+  /// per trajectory instead of calling this, so its arena survives
+  /// between segments.
   void run(std::uint64_t iterations);
 
   /// Runs `iterations` reference-path steps.
@@ -113,12 +112,10 @@ class SeparationChain {
   void set_counters(const Counters& c) noexcept { counters_ = c; }
 
  private:
-  // The pipeline is the run loop: it reads rng_/sys_/params_, the
-  // Metropolis pow tables, and flushes block-local counters into
-  // counters_. step() stays the single-step reference twin. The
-  // replica band (replica_band.hpp) advances whole groups of sibling
-  // chains lock-step under the same contract.
-  friend class StepPipeline;
+  // The replica band (replica_band.hpp) is the run loop, for one chain
+  // or a lock-step group of siblings: it reads rng_/sys_/params_ and
+  // the Metropolis pow tables, and flushes block-local counters into
+  // counters_. step() stays the single-step reference twin.
   friend class ReplicaBand;
   [[nodiscard]] double pow_lambda(int k) const noexcept {
     return pow_lambda_[static_cast<std::size_t>(k + kMaxExp)];

@@ -209,9 +209,13 @@ struct NeighborhoodView : system::NeighborhoodGather {
 
   /// Swap exponent of Algorithm 1, line 10 (both endpoints occupied):
   /// (|N_i(l')\{P}| − |N_i(l)|) + (|N_j(l)\{Q}| − |N_j(l')|).
+  /// When i = j the ring terms cancel and each difference is −1 (N_i(l)
+  /// counts Q, N_j(l') counts P), so the like-colored swaps that
+  /// dominate a separated system skip the four color counts.
   [[nodiscard]] int swap_exponent() const noexcept {
     const system::Color ci = color_at(kNodeL);
     const system::Color cj = color_at(kNodeLp);
+    if (ci == cj) return -2;
     const int ni_lp = count_color(ci, kNbrOfLpNoLX);
     const int ni_l = count_color(ci, kNbrOfLX);
     const int nj_l = count_color(cj, kNbrOfLNoLpX);

@@ -14,7 +14,6 @@
 #endif
 
 #include "src/core/neighborhood.hpp"
-#include "src/core/simd_dispatch.hpp"
 
 namespace sops::core {
 
@@ -25,6 +24,27 @@ using system::NeighborhoodGather;
 using system::ParticleIndex;
 
 namespace {
+
+// Runtime SIMD dispatch, queried once per band at construction. Non-x86
+// builds resolve to false at compile time.
+[[nodiscard]] bool cpu_has_avx2() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// AVX-512 Foundation gates the 8-lane-wide decode kernel (zmm
+// xoshiro states, vprolq, vpmovqd). Integer-exact, so engaging it never
+// changes any byte — only how fast the words are produced.
+[[nodiscard]] bool cpu_has_avx512f() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
 
 // Properties 4/5 move-locality as eight 32-bit words: the whole
 // 256-entry ring LUT fits in one ymm register, so the lookup is a
@@ -391,7 +411,10 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
 }  // namespace
 
 bool ReplicaBand::auto_simd() noexcept {
-  return detail::simd_runtime_enabled();
+  // The CI fallback tier re-runs the equivalence suites with
+  // SOPS_FORCE_SCALAR set, pinning that every scalar path produces the
+  // same bytes.
+  return cpu_has_avx2() && std::getenv("SOPS_FORCE_SCALAR") == nullptr;
 }
 
 ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
@@ -422,13 +445,13 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
       simd_ = false;
       break;
     case Mode::kSimd:
-      if (!detail::cpu_has_avx2()) {
+      if (!cpu_has_avx2()) {
         throw std::invalid_argument("ReplicaBand: AVX2 unavailable");
       }
       simd_ = true;
       break;
   }
-  decode512_ = simd_ && detail::cpu_has_avx512f();
+  decode512_ = simd_ && cpu_has_avx512f();
   const std::size_t w = chains_.size();
   pi_.resize(block_size_ * w);
   dir_.resize(block_size_ * w);
@@ -438,11 +461,18 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
   gbase_.resize(w);
   x0_.resize(w);
   y0_.resize(w);
+  if (const char* e = std::getenv("SOPS_BAND_COMPACT")) {
+    layout_override_ = e[0] == '0' ? 0 : 1;
+  }
   // The 2-D threshold table (see the header): for each (a, b) compute
   // the exact IEEE product w = λ^a · γ^b that step() compares against,
   // then binary-search the monotone decoded-uniform curve for the
   // count of raw values accepted by `q < w`. All lanes share (λ, γ),
-  // so one table serves the band.
+  // so one table serves the band. Only the 8-lane SIMD execute reads
+  // it, so narrower bands skip the 275 searches: on a 4-core AVX-512
+  // Xeon they take ~43 µs, the rest of a width-1 band (one chain's
+  // run()) ~0.7 µs.
+  if (!simd_ || w < 8) return;
   for (int a = -5; a <= 5; ++a) {
     for (int b = -SeparationChain::kMaxExp; b <= SeparationChain::kMaxExp;
          ++b) {
@@ -466,9 +496,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
       itab_[static_cast<std::size_t>((a + 5) * kWtabStride + (b + 12))] =
           static_cast<std::int64_t>(lo);
     }
-  }
-  if (const char* e = std::getenv("SOPS_BAND_COMPACT")) {
-    layout_override_ = e[0] == '0' ? 0 : 1;
   }
 }
 
@@ -572,8 +599,10 @@ void ReplicaBand::rebuild_arena() {
     wmax = std::max(wmax, (xmax - xmin + 1) + 2 * kArenaMargin);
     hmax = std::max(hmax, (ymax - ymin + 1) + 2 * kArenaMargin);
   }
-  // Same economy rule as the pipeline's mirror, on the shared extent:
-  // refuse pathological boxes and let the FlatMap path carry them. The
+  // Economy rule on the shared extent: connected blobs have bounding
+  // boxes of O(n^2) cells at the very worst (a zig-zag path), but a
+  // disconnected outlier can blow the box up arbitrarily, so refuse
+  // pathological boxes and let the FlatMap path carry them. The
   // kIdxBits bound keeps every packed cell address inside its field.
   const std::int64_t cap = std::max<std::int64_t>(
       std::int64_t{1} << 20, 32 * static_cast<std::int64_t>(n));
@@ -872,9 +901,9 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   constexpr int kNibShift = cell::kNibbleShift<Cell>;
   const std::size_t W = width();
 
-  // Apply accepted lanes scalar through the same unchecked mutators the
-  // pipeline uses. Arena addresses are re-read from the live packed SoA
-  // (an earlier lane's drift rebuild may have re-centered the planes);
+  // Apply accepted lanes scalar through the same unchecked mutators
+  // execute_lane uses. Arena addresses are re-read from the live packed
+  // SoA (an earlier lane's drift rebuild may have re-centered the planes);
   // a declined rebuild finishes the tick's remaining applies without
   // the arena — the decisions are already made — and the caller hands
   // the rest of the block to the scalar FlatMap sweep.

@@ -1,12 +1,15 @@
-// Across-replica SoA band engine: lock-step advance of independent
-// replicas of the same (n, λ, γ) point.
+// The batched executor of Algorithm 1: lock-step advance of 1–16
+// chains sharing the same (n, λ, γ).
 //
 // Within one chain, steps are inherently sequential — every proposal
-// reads the configuration the previous step wrote. Across the replicas
-// of a sweep point they are perfectly independent, which is the axis
-// the StepPipeline (step_pipeline.hpp) cannot vectorize. ReplicaBand
-// binds 1–16 chains sharing the same particle count and parameters and
-// advances them in lock-step "ticks", one step per replica per tick:
+// reads the configuration the previous step wrote — so a single chain
+// is a width-1 band: SeparationChain::run and the separation model run
+// every trajectory that way, batching the RNG draws and reading
+// occupancy from a dense arena instead of the FlatMap. Across the
+// replicas of a sweep point steps are perfectly independent, and that
+// is the axis the band vectorizes. ReplicaBand binds 1–16 chains
+// sharing the same particle count and parameters and advances them in
+// lock-step "ticks", one step per replica per tick:
 //
 //  - REFILL/DECODE keeps one util::Rng stream per replica, and for a
 //    full 8-lane group runs the stream itself in SIMD: the xoshiro256++
@@ -35,13 +38,13 @@
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the group, so ragged quotas stay
 //    vectorized. Accepted lanes (typically a small minority) apply
-//    scalar through the same *_unchecked mutators the pipeline uses.
+//    scalar through the same *_unchecked mutators the scalar lanes use.
 //
 // Arena cells use the layouts of cell_codec.hpp, selected per rebuild:
 // the compact 16-bit encoding (index+1 in 12 bits, color nibble at
 // 12..15) whenever n + 1 fits its index field, halving the per-plane
 // footprint so even eight n=1600 planes stay cache-resident; the wide
-// 32-bit encoding (the pipeline mirror's) above n = 4094. Compact
+// 32-bit encoding otherwise (always above n = 4094). Compact
 // cells are gathered pairwise with scale-2 epi32 gathers and widened
 // in-register — one shift normalizes either layout to the same
 // top-nibble form, so the decision kernel is layout-generic.
@@ -55,10 +58,11 @@
 //
 // Dispatch is runtime: the SIMD path engages only when the CPU reports
 // AVX2, `SOPS_FORCE_SCALAR` is not set, and the arena covers every
-// lane's bounding box economically. Everything else — widths below 8,
-// arena-cap refusals, drift rebuilds that decline mid-run — falls back
-// to per-lane scalar execution over the arena or, failing that, the
-// FlatMap gather path. All paths produce the same bytes.
+// lane's bounding box economically. Everything else — widths below 8
+// (a single chain included), arena-cap refusals, drift rebuilds that
+// decline mid-run — falls back to per-lane scalar execution over the
+// arena or, failing that, the FlatMap gather path. All paths produce
+// the same bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -148,6 +152,7 @@ class ReplicaBand {
   }
 
   [[nodiscard]] std::size_t width() const noexcept { return chains_.size(); }
+  [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// True when the resolved mode can use AVX2 (arena permitting).
   [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
@@ -281,9 +286,9 @@ class ReplicaBand {
   // color.
   std::vector<std::int32_t> pcell_;
 
-  // Per-direction cell offsets (function of shared w_ only) in the
-  // pipeline's ring order, transposed and padded for vpermd lookup by
-  // dir: ring_off_[k][dir], dirs 6 and 7 unused.
+  // Per-direction cell offsets (function of shared w_ only) in
+  // EdgeRing order, transposed and padded for vpermd lookup by dir:
+  // ring_off_[k][dir], dirs 6 and 7 unused.
   alignas(32) std::int32_t ring_off_[8][8] = {};
   alignas(32) std::int32_t lp_off_[8] = {};
 
@@ -298,7 +303,8 @@ class ReplicaBand {
   // compare without converting raw words to doubles at all. Moves read
   // (a, b) = (Δe, Δe_i) ∈ [-5, 5]²; swaps read (0, sx), sx ∈ [-10, 10]
   // (λ^0 ≡ 1.0 leaves γ^sx exact). Stride 32 makes the index one
-  // shift+add. ~2.8 KB, L1-resident.
+  // shift+add. ~2.8 KB, L1-resident. Only the 8-lane SIMD execute reads
+  // it, so the constructor fills it only when such a group can form.
   static constexpr int kWtabStride = 32;
   alignas(64) std::int64_t itab_[11 * kWtabStride] = {};
 

@@ -1,11 +1,10 @@
-// Checkpointed execution of the separation chain, recording the scalar
-// observables the paper's figures are built from.
+// Scalar observables of the separation chain, the quantities the
+// paper's figures are built from. The measurement drivers that run a
+// chain to checkpoints or sample it at equilibrium live one layer up,
+// on the model seam (model::run_with_checkpoints, sample_equilibrium).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
 
 #include "src/core/markov_chain.hpp"
 
@@ -25,34 +24,10 @@ struct Measurement {
 [[nodiscard]] Measurement measure(const SeparationChain& chain);
 
 /// Same, with the caller supplying p_min(n). n is fixed for a chain's
-/// lifetime, so loops (run_with_checkpoints, sample_equilibrium) compute
-/// p_min once per call instead of re-deriving the integer square root
-/// per measurement. Must be passed system::p_min(chain.system().size()).
+/// lifetime, so a long-lived owner (the separation model) computes p_min
+/// once instead of re-deriving the integer square root per measurement.
+/// Must be passed system::p_min(chain.system().size()).
 [[nodiscard]] Measurement measure(const SeparationChain& chain,
                                   std::int64_t pmin);
-
-/// Runs the chain to each absolute iteration in `checkpoints` (must be
-/// nondecreasing; a leading 0 records the initial state) and returns one
-/// Measurement per checkpoint. The optional callback fires at each
-/// checkpoint with the live chain (for rendering snapshots etc.).
-///
-/// Both drivers construct one core::StepPipeline for the whole call and
-/// reuse its buffers across segments. `pipeline_block` tunes the
-/// pipeline's block size (0 = StepPipeline::kDefaultBlockSize); it
-/// affects only phase granularity, never the trajectory.
-std::vector<Measurement> run_with_checkpoints(
-    SeparationChain& chain, std::span<const std::uint64_t> checkpoints,
-    const std::function<void(const SeparationChain&, std::uint64_t)>&
-        on_checkpoint = {},
-    std::size_t pipeline_block = 0);
-
-/// Equilibrium sampling: runs `burn_in` steps, then records `samples`
-/// measurements `interval` steps apart, invoking `on_sample` (if set)
-/// with the live chain at each sample point.
-std::vector<Measurement> sample_equilibrium(
-    SeparationChain& chain, std::uint64_t burn_in, std::uint64_t interval,
-    std::size_t samples,
-    const std::function<void(const SeparationChain&)>& on_sample = {},
-    std::size_t pipeline_block = 0);
 
 }  // namespace sops::core

@@ -74,7 +74,7 @@ ChainProtocol resolve_protocol(const ChainJob& job, const Task& task) {
 namespace {
 
 // The per-task protocol walk make_task_fn wraps, on an already-built
-// model — shared with the banded executor's scalar fallback so both
+// model — shared with the banded executor's single-lane fallback so both
 // paths drive the exact same sequence of run/measure/on_sample calls.
 std::vector<core::Measurement> drive_protocol(model::ChainModel& m,
                                               const ChainJob& job,
@@ -138,16 +138,14 @@ std::vector<std::pair<std::uint64_t, bool>> schedule_points(
 // arrived measure and move their cursor. Per lane this interleaves
 // run/measure exactly as drive_protocol would, and the band's
 // byte-identity contract makes the trajectory between those points
-// identical too, so the recorded series cannot differ from scalar's.
+// identical too, so the recorded series cannot differ from an unbanded
+// run's.
 void run_band_lockstep(std::span<Lane> lanes, const ChainJob& job,
                        std::span<const Task> tasks) {
   std::vector<core::SeparationChain*> chains;
   chains.reserve(lanes.size());
   for (Lane& lane : lanes) chains.push_back(lane.chain);
-  core::ReplicaBand band(chains,
-                         job.pipeline_block == 0
-                             ? core::ReplicaBand::kDefaultBlockSize
-                             : job.pipeline_block);
+  core::ReplicaBand band(chains);
   std::vector<std::uint64_t> quotas(lanes.size(), 0);
   while (true) {
     bool any = false;
@@ -216,13 +214,12 @@ std::vector<TaskResult> run_banded_ensemble(ThreadPool& pool,
     std::vector<Lane> lanes(group.count);
     for (std::size_t r = 0; r < group.count; ++r) {
       lanes[r].model = job.make_model(gtasks[r]);
-      lanes[r].model->set_pipeline_block(job.pipeline_block);
       lanes[r].chain = lanes[r].model->band_chain();
       lanes[r].points = schedule_points(resolve_protocol(job, gtasks[r]));
     }
     // Bandable only when every lane exposes a chain and they agree on
     // what ReplicaBand requires; single-lane groups (ragged tails, 1×1
-    // cells) just run scalar.
+    // cells) just run alone.
     bool bandable = group.count >= 2;
     for (std::size_t r = 0; bandable && r < group.count; ++r) {
       const core::SeparationChain* head = lanes[0].chain;
@@ -270,7 +267,6 @@ TaskFn make_task_fn(const ChainJob& job) {
   }
   return [&job](const Task& task) {
     std::unique_ptr<model::ChainModel> m = job.make_model(task);
-    m->set_pipeline_block(job.pipeline_block);
     return drive_protocol(*m, job, task);
   };
 }

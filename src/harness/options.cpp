@@ -42,7 +42,9 @@ Options parse_options(int argc, char** argv, bool with_shard,
                  "");
   cli.add_option("replica-band",
                  "advance up to N same-cell replicas per core in lock-step "
-                 "(core::ReplicaBand; 1 = scalar; byte-identical output)",
+                 "(core::ReplicaBand; 1 (default) = each replica runs "
+                 "alone; the paper's grids have one replica per cell, so "
+                 "N >= 2 changes nothing on them; byte-identical output)",
                  "1");
   if (with_shard) {
     cli.add_option("shard", "run shard k of n ('k/n'); needs --shard-out", "");
@@ -106,7 +108,7 @@ Options parse_options(int argc, char** argv, bool with_shard,
     if (band < 1 || band > core::ReplicaBand::kMaxWidth) {
       throw std::invalid_argument(
           "cli: --replica-band out of range (legal range [1,16]; 1 = "
-          "scalar)");
+          "each replica runs alone)");
     }
     opt.replica_band = static_cast<std::size_t>(band);
 

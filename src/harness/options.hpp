@@ -9,8 +9,10 @@
 //   --telemetry F  append per-task JSONL telemetry records to F
 //   --replica-band N  advance up to N same-cell replicas in lock-step
 //                  per core (core::ReplicaBand) for chain-protocol
-//                  sweeps; legal range [1,16], 1 (default) = scalar;
-//                  output is byte-identical at every width
+//                  sweeps; legal range [1,16], 1 (default) = each
+//                  replica runs alone; output is byte-identical at
+//                  every width. The paper's grids have one replica per
+//                  cell, so N >= 2 changes nothing on them
 //
 // Grid-shaped harnesses additionally expose the multi-host sharding
 // surface (parse_options(..., with_shard = true)):
@@ -54,8 +56,11 @@ struct Options {
   std::string telemetry;   ///< JSONL telemetry path; empty = disabled
   /// --replica-band N: lock-step band width for chain-protocol sweeps
   /// (engine::ChainJob::replica_band). Legal range [1, 16] at the CLI
-  /// (core::ReplicaBand::kMaxWidth lanes); 1 = scalar. An execution
-  /// knob only — output is byte-identical at every width.
+  /// (core::ReplicaBand::kMaxWidth lanes); 1 (default) = each replica
+  /// runs alone. Bands group replicas of one grid cell, and the paper's
+  /// grids have one replica per cell, so N >= 2 changes nothing on
+  /// them. An execution knob only — output is byte-identical at every
+  /// width.
   std::size_t replica_band = 1;
 
   // Sharding surface (populated only for with_shard harnesses).

@@ -34,7 +34,7 @@ class ModelError : public std::runtime_error {
 
 /// One simulation trajectory behind a model-agnostic interface. Always
 /// held by unique_ptr: implementations may pin internal references
-/// (e.g. a step pipeline into the wrapped chain), so the object is
+/// (e.g. a replica band bound to the wrapped chain), so the object is
 /// neither copyable nor movable.
 class ChainModel {
  public:
@@ -73,9 +73,10 @@ class ChainModel {
   /// restorable state.
   [[nodiscard]] virtual std::vector<std::string> save_state() const = 0;
 
-  /// Batched-run granularity hint (0 = implementation default). Affects
-  /// buffer sizes only — trajectories are byte-identical at every
-  /// value. Default: no-op for models without a batched pipeline.
+  /// A no-op that no built-in model overrides: batched execution sizes
+  /// its own blocks (core::ReplicaBand::kDefaultBlockSize), and block
+  /// size never changes a trajectory. Kept so decorators that forward
+  /// every virtual to a wrapped model still compile.
   virtual void set_pipeline_block(std::size_t /*block*/) {}
 
   /// Band-execution hook: the live separation chain when this model can
@@ -83,8 +84,9 @@ class ChainModel {
   /// (byte-identical to run(), per the band's contract), nullptr for
   /// models without a bandable chain. A caller that takes the chain owns
   /// the trajectory until it next calls run()/measure() through the
-  /// model — mixing band steps *between* those calls is fine (both
-  /// rebuild their derived state on entry), interleaving them is not.
+  /// model — mixing band steps *between* those calls is fine (a band
+  /// rebuilds its derived state on entry whenever a chain's step counter
+  /// moved outside it), interleaving them is not.
   [[nodiscard]] virtual core::SeparationChain* band_chain() noexcept {
     return nullptr;
   }
@@ -92,9 +94,8 @@ class ChainModel {
 
 /// Runs the model to each absolute iteration in `checkpoints` (must be
 /// nondecreasing; a leading 0 records the initial state) and returns one
-/// Measurement per checkpoint. Mirrors core::run_with_checkpoints
-/// exactly — for the separation model the two produce byte-identical
-/// series.
+/// Measurement per checkpoint. Repeated targets measure repeatedly;
+/// a decreasing target throws std::invalid_argument.
 std::vector<core::Measurement> run_with_checkpoints(
     ChainModel& model, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const ChainModel&, std::uint64_t)>&

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/core/coloring.hpp"
-#include "src/core/step_pipeline.hpp"
+#include "src/core/replica_band.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/model/registry.hpp"
 #include "src/sops/invariants.hpp"
@@ -17,26 +17,24 @@ namespace rec = util::record;
 
 class SeparationModel final : public ChainModel {
  public:
-  SeparationModel(core::SeparationChain chain, std::size_t pipeline_block)
+  explicit SeparationModel(core::SeparationChain chain)
       : chain_(std::move(chain)),
-        pmin_(system::p_min(chain_.system().size())),
-        block_(pipeline_block) {}
+        pmin_(system::p_min(chain_.system().size())) {}
 
   [[nodiscard]] std::string_view tag() const noexcept override {
     return kSeparationTag;
   }
 
   void run(std::uint64_t iterations) override {
-    // One pipeline per trajectory, created lazily so it binds the
-    // chain at its final (heap) address; recreated only when the block
-    // size changes, which is trajectory-neutral by the pipeline's
-    // byte-identity contract.
-    if (!pipeline_) {
-      pipeline_ = std::make_unique<core::StepPipeline>(
-          chain_, block_ == 0 ? core::StepPipeline::kDefaultBlockSize
-                              : block_);
+    // One width-1 band per trajectory, created lazily so it binds the
+    // chain at its final (heap) address. Its arena survives between
+    // run() calls until the step counter moves outside the band.
+    if (!band_) {
+      core::SeparationChain* const self = &chain_;
+      band_ = std::make_unique<core::ReplicaBand>(
+          std::span<core::SeparationChain* const>(&self, 1));
     }
-    pipeline_->run(iterations);
+    band_->run(iterations);
   }
 
   [[nodiscard]] std::uint64_t steps() const noexcept override {
@@ -83,15 +81,9 @@ class SeparationModel final : public ChainModel {
     return out;
   }
 
-  void set_pipeline_block(std::size_t block) override {
-    if (block == block_) return;
-    block_ = block;
-    pipeline_.reset();
-  }
-
-  // Bandable: the band and the pipeline both rebuild their derived
-  // occupancy state at every entry, so alternating band steps with
-  // run()/measure() keeps every path byte-identical.
+  // Bandable: every band rebuilds its arena on entry when a bound
+  // chain's step counter moved outside it, so alternating an external
+  // band's steps with run()/measure() keeps every path byte-identical.
   [[nodiscard]] core::SeparationChain* band_chain() noexcept override {
     return &chain_;
   }
@@ -103,8 +95,7 @@ class SeparationModel final : public ChainModel {
  private:
   core::SeparationChain chain_;
   std::int64_t pmin_;
-  std::size_t block_;
-  std::unique_ptr<core::StepPipeline> pipeline_;
+  std::unique_ptr<core::ReplicaBand> band_;
 };
 
 std::unique_ptr<ChainModel> restore_separation(
@@ -180,9 +171,8 @@ std::unique_ptr<ChainModel> build_separation(
 
 }  // namespace
 
-std::unique_ptr<ChainModel> make_separation(core::SeparationChain chain,
-                                            std::size_t pipeline_block) {
-  return std::make_unique<SeparationModel>(std::move(chain), pipeline_block);
+std::unique_ptr<ChainModel> make_separation(core::SeparationChain chain) {
+  return std::make_unique<SeparationModel>(std::move(chain));
 }
 
 const core::SeparationChain& separation_chain(const ChainModel& model) {

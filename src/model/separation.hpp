@@ -1,7 +1,6 @@
 // The separation chain behind the ChainModel seam — the paper's own
-// model, wrapped so the generic stack drives it exactly as core/runner
-// did: one persistent StepPipeline per trajectory, p_min computed once,
-// Measurement math byte-identical to core::measure.
+// model: one persistent width-1 core::ReplicaBand per trajectory, p_min
+// computed once, Measurement math byte-identical to core::measure.
 #pragma once
 
 #include <memory>
@@ -13,10 +12,9 @@ namespace sops::model {
 
 inline constexpr std::string_view kSeparationTag = "separation";
 
-/// Wraps an already-constructed chain. `pipeline_block` as in
-/// engine::ChainJob (0 = StepPipeline default; trajectory-neutral).
+/// Wraps an already-constructed chain.
 [[nodiscard]] std::unique_ptr<ChainModel> make_separation(
-    core::SeparationChain chain, std::size_t pipeline_block = 0);
+    core::SeparationChain chain);
 
 /// Downcast for separation-specific on_sample hooks (certificates,
 /// renders): the wrapped live chain, or ModelError if `model` is not

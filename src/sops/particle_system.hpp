@@ -106,21 +106,6 @@ class ParticleSystem {
     return neighbor_count_color(v, c, v);
   }
 
-  /// Cache hints for a proposal known ahead of time (the step pipeline's
-  /// speculative walk): pull in the occupancy-table probe line for `v`
-  /// and the positions-array entry for particle `i`. Pure hints — no
-  /// lookup counted, no state touched, safe on stale speculation.
-  void prefetch_occupancy(lattice::Node v) const noexcept {
-    occupancy_.prefetch(lattice::pack(v));
-  }
-  void prefetch_position(ParticleIndex i) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&positions_[static_cast<std::size_t>(i)], 0, 1);
-#else
-    (void)i;
-#endif
-  }
-
   /// Reads the closed 10-node neighborhood of the edge (l, l + dir) from
   /// the occupancy table in one pass (exactly 10 probes). The overload
   /// taking `p_at_l` skips the probe for l when the caller already holds
@@ -160,8 +145,8 @@ class ParticleSystem {
 
   /// apply_move with deltas, minus the adjacency/occupancy precondition
   /// probes. For callers whose gather already certified the target empty
-  /// and adjacent (the step pipeline reads the proposal edge through its
-  /// dense occupancy mirror); produces the identical state as the checked
+  /// and adjacent (the replica band reads the proposal edge through its
+  /// dense occupancy arena); produces the identical state as the checked
   /// overload when the preconditions hold.
   void apply_move_unchecked(ParticleIndex i, lattice::Node to,
                             std::int64_t edge_delta,

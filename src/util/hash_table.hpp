@@ -97,17 +97,6 @@ class FlatMap {
     return find(key) != nullptr;
   }
 
-  /// Hints the cache to load the slot where `key`'s probe sequence
-  /// starts. Pure hint for speculative callers (the step pipeline): does
-  /// not count as a lookup and never touches table state.
-  void prefetch(std::uint64_t key) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[probe_start(key)], /*rw=*/0, /*locality=*/1);
-#else
-    (void)key;
-#endif
-  }
-
   /// Erases `key` if present using backward-shift deletion, preserving
   /// probe-sequence integrity without tombstones. Returns true if erased.
   bool erase(std::uint64_t key) noexcept {

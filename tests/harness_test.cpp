@@ -315,7 +315,7 @@ TEST(HarnessDeathTest, ShardWithoutOutExitsUsageError) {
 }
 
 // The band engine tops out at 16 lanes; 0 is rejected rather than
-// silently meaning scalar (1 is the explicit scalar setting). The
+// silently meaning 1 (the explicit each-replica-alone setting). The
 // message must name the legal range.
 TEST(HarnessDeathTest, ReplicaBandZeroExitsUsageError) {
   EXPECT_EXIT((void)run_tiny_raw({"--replica-band", "0"}),

@@ -229,31 +229,6 @@ TEST(SeparationChainTest, LargeGammaReducesHeteroEdges) {
   EXPECT_LT(after.hetero_fraction, before.hetero_fraction * 0.7);
 }
 
-TEST(RunnerTest, CheckpointsLandExactly) {
-  SeparationChain chain(random_start(30, 5), Params{4.0, 4.0, true}, 3);
-  const std::vector<std::uint64_t> checkpoints{0, 100, 5000, 5000, 20000};
-  const auto history = run_with_checkpoints(chain, checkpoints);
-  ASSERT_EQ(history.size(), checkpoints.size());
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    EXPECT_EQ(history[i].iteration, checkpoints[i]);
-  }
-  EXPECT_EQ(chain.counters().steps, 20000u);
-}
-
-TEST(RunnerTest, RejectsDecreasingCheckpoints) {
-  SeparationChain chain(random_start(10, 6), Params{4.0, 4.0, true}, 4);
-  const std::vector<std::uint64_t> bad{100, 50};
-  EXPECT_THROW(run_with_checkpoints(chain, bad), std::invalid_argument);
-}
-
-TEST(RunnerTest, EquilibriumSamplingCountsAndSpacing) {
-  SeparationChain chain(random_start(20, 61), Params{4.0, 4.0, true}, 5);
-  const auto samples = sample_equilibrium(chain, 1000, 500, 5);
-  ASSERT_EQ(samples.size(), 5u);
-  EXPECT_EQ(samples.front().iteration, 1000u);
-  EXPECT_EQ(samples.back().iteration, 1000u + 4 * 500u);
-}
-
 TEST(RunnerTest, MeasurementFieldsConsistent) {
   SeparationChain chain(random_start(45, 77), Params{4.0, 4.0, true}, 6);
   chain.run(10000);

@@ -173,7 +173,7 @@ TEST(ParticleSystemTest, IncrementalCountsMatchRecountUnderChurn) {
   }
 }
 
-// Twin test for the unchecked delta-fed mutators the step pipeline
+// Twin test for the unchecked delta-fed mutators the replica band
 // drives: against a second system mutated by the checked overloads, a
 // churn of moves (deltas from a recount oracle) and swaps (delta from
 // the hetero recount identity) must stay byte-identical in positions,

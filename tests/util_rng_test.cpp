@@ -96,7 +96,7 @@ TEST(Rng, BelowHandlesBoundOne) {
 }
 
 // ---------------------------------------------------------------------
-// Lemire rejection boundaries. The step pipeline's "identical draw
+// Lemire rejection boundaries. The replica band's "identical draw
 // sequence" guarantee rests on below() consuming raw words in an order
 // fully determined by (word values, bound) — including how many words
 // each rejection burns. These tests pin that consumption contract at
@@ -190,8 +190,8 @@ TEST(Rng, BelowSixDrawOrderIsPinned) {
 }
 
 // ---------------------------------------------------------------------
-// Bulk refill. fill(out, n) is the shared block-refill primitive behind
-// the step pipeline and the replica band engine; both rely on it being
+// Bulk refill. fill(out, n) is the block-refill primitive behind the
+// replica band's scalar decode, which relies on it being
 // stream-equivalent to n next() calls — same words, same post-state —
 // so a block boundary is invisible to the trajectory.
 
@@ -218,7 +218,7 @@ TEST(Rng, FillZeroIsANoOp) {
 
 TEST(Rng, FillChunksConcatenateToOneStream) {
   // Refilling in blocks of varying size must concatenate to the same
-  // stream as one big fill — the pipeline's block size is a tuning
+  // stream as one big fill — the band's block size is a tuning
   // knob, never a trajectory input.
   Rng chunked(314159), whole(314159);
   std::vector<std::uint64_t> got;
@@ -235,7 +235,7 @@ TEST(Rng, FillChunksConcatenateToOneStream) {
 }
 
 TEST(Rng, FillBufferDecodeMatchesLiveBelowAcrossRejections) {
-  // The pipeline idiom: bulk-fill a block, decode with lemire_below
+  // The band's decode idiom: bulk-fill a block, decode with lemire_below
   // over the buffer, spill to the live generator once the buffer runs
   // dry. With bound = 2^63 + 1 (≈ half of all words rejected) the spill
   // point lands mid-rejection-chain often; the decoded values and final
