@@ -23,7 +23,7 @@
 #   --counters additionally checks the band engine's execution-path
 #   counters: on the AVX2 tier (CPU reports avx2, SOPS_FORCE_SCALAR
 #   unset) the BM_ReplicaBand SIMD-step fraction must stay >= 90% at
-#   widths 8 and 16 — a silent fall-back to the scalar path would
+#   width 8 — a silent fall-back to the scalar path would
 #   otherwise masquerade as a mere perf regression. Warn-only by
 #   default; SOPS_BENCH_STRICT=1 makes a breach exit 1.
 set -euo pipefail
@@ -51,7 +51,7 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8|16)|BM_PropertyCheck(_Reference)?$|BM_NeighborhoodGather$|BM_NeighborCount$'
+filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8)|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$'
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
 trap 'rm -f "$raw"' EXIT
 
@@ -130,7 +130,7 @@ if (( compare )); then
       coverage=$(jq -r '
         [.benchmarks[]
          | select(.aggregate_name == "median")
-         | select(.name | test("^BM_ReplicaBand/[0-9]+/(8|16)_median$"))
+         | select(.name | test("^BM_ReplicaBand/[0-9]+/8_median$"))
          | select((.simd_fraction // 0) < 0.90)
          | "WARN: \(.name | sub("_median$"; "")) SIMD-step fraction \((.simd_fraction // 0) * 1000 | floor / 10)% < 90% — band fell back to scalar"]
         | .[]' "$raw")

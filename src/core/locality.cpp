@@ -1,7 +1,5 @@
 #include "src/core/locality.hpp"
 
-#include "src/core/neighborhood.hpp"
-
 namespace sops::core {
 
 RingOccupancy RingOccupancy::read(const system::ParticleSystem& sys,
@@ -62,12 +60,6 @@ bool property5(const RingOccupancy& ring) noexcept {
     return true;
   };
   return arc_ok(1, 2, 3) && arc_ok(5, 6, 7);
-}
-
-bool move_preserves_invariants(const system::ParticleSystem& sys,
-                               lattice::Node l, int dir) noexcept {
-  const NeighborhoodView nb = NeighborhoodView::gather(sys, l, dir);
-  return nb.move_locality_ok();
 }
 
 bool move_preserves_invariants_reference(const system::ParticleSystem& sys,

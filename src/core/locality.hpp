@@ -38,14 +38,10 @@ struct RingOccupancy {
 [[nodiscard]] bool property5(const RingOccupancy& ring) noexcept;
 
 /// Condition (ii) of Algorithm 1: Property 4 or Property 5 holds for the
-/// move of the particle at `l` toward direction `dir`. Implemented on
-/// the single-gather step kernel (neighborhood.hpp): one 10-node read
-/// plus a 256-entry ring-mask lookup.
-[[nodiscard]] bool move_preserves_invariants(const system::ParticleSystem& sys,
-                                             lattice::Node l, int dir) noexcept;
-
-/// Per-call reference implementation (ring read + run analysis); kept as
-/// the slow path the kernel is cross-checked against.
+/// move of the particle at `l` toward direction `dir`. Per-call ring
+/// read + run analysis: the reference the step kernel's ring-mask
+/// lookup (NeighborhoodView::move_locality_ok) is cross-checked
+/// against.
 [[nodiscard]] bool move_preserves_invariants_reference(
     const system::ParticleSystem& sys, lattice::Node l, int dir) noexcept;
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -13,6 +12,7 @@
 #define SOPS_BAND_X86 1
 #endif
 
+#include "src/core/cell_codec.hpp"
 #include "src/core/neighborhood.hpp"
 
 namespace sops::core {
@@ -160,22 +160,8 @@ __attribute__((target("avx2"))) inline void store_lo32x8(std::int32_t* dst,
                       _mm256_permute2x128_si256(pa, pb, 0x20));
 }
 
-// Gathers eight arena cells normalized to the wide layout's top-nibble
-// form: color nibble at bits 28..31, occupancy in the sign bit, zero
-// iff empty. Wide cells are already in that form; compact 16-bit cells
-// are fetched pairwise (scale-2 epi32 gather puts the addressed cell in
-// the low half of each 32-bit lane) and one shift widens them
-// in-register, so the decision kernel downstream is layout-blind.
-template <bool kCompact>
-__attribute__((target("avx2"))) inline __m256i gather_cell_hi(
-    const int* cells, __m256i vidx) noexcept {
-  if constexpr (kCompact) {
-    return _mm256_slli_epi32(_mm256_i32gather_epi32(cells, vidx, 2), 16);
-  }
-  return _mm256_i32gather_epi32(cells, vidx, 4);
-}
-
-// Block-invariant inputs of the SIMD decide kernel.
+// Block-invariant inputs of the SIMD decide kernel. The band is one
+// 8-lane group, so every lane-minor array has stride 8.
 struct BandEnv {
   const std::int32_t* pi;
   const std::int32_t* dir;
@@ -183,49 +169,40 @@ struct BandEnv {
   const std::int64_t* itab;
   const std::int32_t (*ring_off)[8];
   const std::int32_t* lp_off;
-  std::size_t W;
-  int wshift;  ///< log2(W) when W is a power of two, else -1
   bool swaps;
 };
 
-// Per-group SIMD execute state: lane constants and the seven counter
-// accumulators. The width-16 path keeps two of these live and runs
-// their ticks interleaved.
+// SIMD execute state: per-lane quotas and the seven counter
+// accumulators.
 struct Group {
-  __m256i vactive, vlane;
+  __m256i vactive;
   __m256i acc_movep, acc_macc, acc_r5, acc_rloc, acc_rmet, acc_swapp,
       acc_sacc;
-  std::size_t g8 = 0;
 };
 
 __attribute__((target("avx2"))) inline void group_init(
-    Group& G, std::size_t g8, const std::size_t* active) noexcept {
+    Group& G, const std::size_t* active) noexcept {
   alignas(32) std::int32_t act32[8];
   for (std::size_t j = 0; j < 8; ++j) {
-    act32[j] = static_cast<std::int32_t>(active[g8 + j]);
+    act32[j] = static_cast<std::int32_t>(active[j]);
   }
   G.vactive = _mm256_load_si256(reinterpret_cast<const __m256i*>(act32));
-  const int g = static_cast<int>(g8);
-  G.vlane = _mm256_setr_epi32(g, g + 1, g + 2, g + 3, g + 4, g + 5, g + 6,
-                              g + 7);
   const __m256i z = _mm256_setzero_si256();
   G.acc_movep = G.acc_macc = G.acc_r5 = G.acc_rloc = G.acc_rmet =
       G.acc_swapp = G.acc_sacc = z;
-  G.g8 = g8;
 }
 
-// One tick of one 8-lane group: load the tick's proposal band, gather
+// One tick of the 8-lane band: load the tick's proposal band, gather
 // the packed-SoA proposer cells and the 10-node neighborhoods across
 // lanes, and resolve every lane's outcome into counter accumulators.
 // Returns the accept masks packed as mm_macc | mm_sacc << 8, spilling
-// the decision vectors to `sp` only when some lane accepted — applies
-// happen scalar afterwards, so two groups can decide back-to-back with
-// their gathers overlapping. kMasked=false compiles the uniform-quota
-// prefix where every lane is known live, dropping the per-tick quota
-// compare and the three mask ANDs it feeds. always_inline: the tick
-// loops live or die by this body fusing into them (no per-tick call,
-// constants hoisted).
-template <bool kCompact, bool kMasked>
+// the decision vectors to `sp` only when some lane accepted; the
+// applies happen scalar afterwards. kMasked=false compiles the
+// uniform-quota prefix where every lane is known live, dropping the
+// per-tick quota compare and the three mask ANDs it feeds.
+// always_inline: the tick loops live or die by this body fusing into
+// them (no per-tick call, constants hoisted).
+template <bool kMasked>
 __attribute__((target("avx2"), always_inline)) inline int band_decide(
     const BandEnv& E, Group& G, const int* cells,
     const std::int32_t* pcell, std::size_t t,
@@ -250,7 +227,7 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
                               _mm256_set1_epi32(static_cast<int>(t)));
   }
 
-  const std::size_t idx = t * E.W + G.g8;
+  const std::size_t idx = t * 8;
   const __m256i vpi = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(E.pi + idx));
   const __m256i vdir = _mm256_loadu_si256(
@@ -265,15 +242,9 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
       11);
 
   // One gather on the packed SoA: each lane's proposer address in the
-  // arena plus its encoded color. Band widths are usually 8 or 16, so
-  // a shift replaces the 10-cycle vpmulld heading the tick's whole
-  // gather dependency chain.
+  // arena plus its encoded color, at pi * 8 + lane.
   const __m256i vsoa = _mm256_add_epi32(
-      E.wshift >= 0
-          ? _mm256_slli_epi32(vpi, E.wshift)
-          : _mm256_mullo_epi32(vpi,
-                               _mm256_set1_epi32(static_cast<int>(E.W))),
-      G.vlane);
+      _mm256_slli_epi32(vpi, 3), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   const __m256i vpc = _mm256_i32gather_epi32(pcell, vsoa, 4);
   const __m256i vbase = _mm256_and_si256(vpc, vidxmask);
   const __m256i vci = _mm256_srli_epi32(vpc, 28);
@@ -284,15 +255,15 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
   const __m256i vlpoff = _mm256_permutevar8x32_epi32(
       _mm256_load_si256(reinterpret_cast<const __m256i*>(E.lp_off)), vdir);
   const __m256i vlpc =
-      gather_cell_hi<kCompact>(cells, _mm256_add_epi32(vbase, vlpoff));
+      _mm256_i32gather_epi32(cells, _mm256_add_epi32(vbase, vlpoff), 4);
   const __m256i vlp_empty = _mm256_cmpeq_epi32(vlpc, vzero);
   const __m256i vcj = _mm256_srli_epi32(vlpc, 28);
 
   // Occupancy/color sums accumulated on the fly over the node subsets
   // of neighborhood.hpp: e over ring 0..4, e' over ring {0,4,5,6,7}
   // (l' is empty on the move path, l is excluded per the reference
-  // index sets). Cells arrive in the normalized top-nibble form of
-  // gather_cell_hi: encoded colors are c ^ 0xF ∈ [8, 15], so an empty
+  // index sets). Cells carry the color nibble at bits 28..31
+  // (cell_codec.hpp): encoded colors are c ^ 0xF ∈ [8, 15], so an empty
   // node never matches a color and the sign bit is set iff the cell is
   // occupied — occupancy is one arithmetic shift, no compare. k runs
   // descending so the ring bitmask builds by shift-accumulate (bit k ↔
@@ -306,7 +277,7 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
             E.ring_off[static_cast<std::size_t>(k)])),
         vdir);
     const __m256i vc =
-        gather_cell_hi<kCompact>(cells, _mm256_add_epi32(vbase, voff));
+        _mm256_i32gather_epi32(cells, _mm256_add_epi32(vbase, voff), 4);
     const __m256i vocc = _mm256_srai_epi32(vc, 31);
     const __m256i vnib = _mm256_srli_epi32(vc, 28);
     const __m256i vmci = _mm256_cmpeq_epi32(vnib, vci);
@@ -422,7 +393,7 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
     : chains_(chains.begin(), chains.end()),
       block_size_(std::clamp<std::size_t>(block_size, 1, kMaxBlockSize)) {
   if (chains_.empty() || chains_.size() > kMaxWidth) {
-    throw std::invalid_argument("ReplicaBand: width must be in [1, 16]");
+    throw std::invalid_argument("ReplicaBand: width must be in [1, 8]");
   }
   for (SeparationChain* c : chains_) {
     if (c == nullptr) throw std::invalid_argument("ReplicaBand: null chain");
@@ -437,20 +408,7 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
           "ReplicaBand: chains must share (n, lambda, gamma, swaps_enabled)");
     }
   }
-  switch (mode) {
-    case Mode::kAuto:
-      simd_ = auto_simd();
-      break;
-    case Mode::kScalar:
-      simd_ = false;
-      break;
-    case Mode::kSimd:
-      if (!cpu_has_avx2()) {
-        throw std::invalid_argument("ReplicaBand: AVX2 unavailable");
-      }
-      simd_ = true;
-      break;
-  }
+  simd_ = mode == Mode::kAuto && auto_simd();
   decode512_ = simd_ && cpu_has_avx512f();
   const std::size_t w = chains_.size();
   pi_.resize(block_size_ * w);
@@ -461,9 +419,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
   gbase_.resize(w);
   x0_.resize(w);
   y0_.resize(w);
-  if (const char* e = std::getenv("SOPS_BAND_COMPACT")) {
-    layout_override_ = e[0] == '0' ? 0 : 1;
-  }
   // The 2-D threshold table (see the header): for each (a, b) compute
   // the exact IEEE product w = λ^a · γ^b that step() compares against,
   // then binary-search the monotone decoded-uniform curve for the
@@ -472,7 +427,7 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
   // it, so narrower bands skip the 275 searches: on a 4-core AVX-512
   // Xeon they take ~43 µs, the rest of a width-1 band (one chain's
   // run()) ~0.7 µs.
-  if (!simd_ || w < 8) return;
+  if (!simd_ || w != kMaxWidth) return;
   for (int a = -5; a <= 5; ++a) {
     for (int b = -SeparationChain::kMaxExp; b <= SeparationChain::kMaxExp;
          ++b) {
@@ -534,7 +489,7 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
       active[r] =
           static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
     }
-    run_block(active.data(), count);
+    run_block(active.data());
     most = 0;
     for (std::size_t r = 0; r < width(); ++r) {
       rem[r] -= active[r];
@@ -547,15 +502,11 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   arena_synced_ = arena_ok_;
 }
 
-template <typename Cell>
-void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
+void ReplicaBand::fill_arena(std::int64_t plane) {
   const std::size_t W = width();
   const std::size_t n = chains_[0]->sys_.size();
-  // Two cells of tail padding keep the compact path's scale-2 pair
-  // gathers (which read the addressed cell and its memory successor)
-  // inside the allocation at the last plane's edge.
-  cells.assign(
-      static_cast<std::size_t>(plane * static_cast<std::int64_t>(W)) + 2, 0);
+  cells_.assign(
+      static_cast<std::size_t>(plane * static_cast<std::int64_t>(W)), 0);
   pcell_.resize(n * W);
   for (std::size_t r = 0; r < W; ++r) {
     const system::ParticleSystem& sys = chains_[r]->sys_;
@@ -568,7 +519,7 @@ void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
           gbase_[r] + static_cast<std::int64_t>(v.y) * w_ + v.x);
       pcell_[i * W + r] =
           static_cast<std::int32_t>(idx | ((color ^ 0xFu) << 28));
-      cells[idx] = cell::encode<Cell>(static_cast<std::uint32_t>(i), color);
+      cells_[idx] = cell::encode(static_cast<std::uint32_t>(i), color);
     }
   }
 }
@@ -577,7 +528,7 @@ void ReplicaBand::rebuild_arena() {
   arena_ok_ = false;
   const std::size_t W = width();
   const std::size_t n = chains_[0]->sys_.size();
-  if (n == 0 || n + 1 > cell::kWideIndexMask) return;
+  if (n == 0 || n + 1 > cell::kIndexMask) return;
 
   std::int64_t wmax = 0;
   std::int64_t hmax = 0;
@@ -615,29 +566,7 @@ void ReplicaBand::rebuild_arena() {
 
   w_ = wmax;
   h_ = hmax;
-  // Layout selection: the compact 16-bit cells need index+1 inside
-  // their 12-bit field, and by default engage only once the wide
-  // layout's total footprint crosses kCompactSelectBytes — below that
-  // the planes are cache-resident either way and the pair gathers'
-  // cacheline-split tax outweighs the halved footprint (measured on
-  // the AVX2 tier; see DESIGN §4). SOPS_BAND_COMPACT pins the choice
-  // for tests. Drift rebuilds re-derive the same inputs, so a band
-  // re-selects its layout only when its bounding boxes actually grew
-  // or shrank across the byte threshold; the inactive store is
-  // emptied so no stale plane survives.
-  const bool fits = n + 1 <= cell::kCompactIndexMask;
-  compact_ =
-      fits && (layout_override_ == 1 ||
-               (layout_override_ != 0 &&
-                plane * static_cast<std::int64_t>(W) * 4 >
-                    kCompactSelectBytes));
-  if (compact_) {
-    cells_.clear();
-    fill_arena(cells16_, plane);
-  } else {
-    cells16_.clear();
-    fill_arena(cells_, plane);
-  }
+  fill_arena(plane);
   for (int d = 0; d < 6; ++d) {
     const auto off = [&](Node v) {
       return static_cast<std::int32_t>(static_cast<std::int64_t>(v.y) * w_ +
@@ -653,75 +582,38 @@ void ReplicaBand::rebuild_arena() {
   arena_ok_ = true;
 }
 
-void ReplicaBand::run_block(const std::size_t* active, std::size_t count) {
+void ReplicaBand::run_block(const std::size_t* active) {
   ++stats_.blocks;
   const std::size_t W = width();
   const std::uint64_t n = chains_[0]->sys_.size();
 
-  // DECODE: full 8-lane groups run the vectorized generator+Lemire
-  // path over the group's uniform tick prefix; ragged per-lane tails
-  // and partial groups use the scalar bulk-refill decode. Word
-  // consumption per lane is identical either way.
-  const std::size_t vec_lanes =
-      (simd_ && n < (std::uint64_t{1} << 24)) ? (W / 8) * 8 : 0;
-  for (std::size_t g = 0; g + 8 <= vec_lanes; g += 8) {
-    std::size_t uniform = count;
-    for (std::size_t j = 0; j < 8; ++j) {
-      uniform = std::min(uniform, active[g + j]);
-    }
-    if (uniform > 0) decode_group_simd(g, uniform);
-    for (std::size_t j = 0; j < 8; ++j) {
-      if (active[g + j] > uniform) {
-        decode_lane(g + j, uniform, active[g + j]);
-      }
-    }
+  // DECODE: a full 8-lane band runs the vectorized generator+Lemire
+  // path over its uniform tick prefix; ragged per-lane tails and
+  // narrower bands use the scalar bulk-refill decode. Word consumption
+  // per lane is identical either way.
+  const bool simd_band = simd_ && W == kMaxWidth;
+  std::size_t uniform = 0;
+  if (simd_band && n < (std::uint64_t{1} << 24)) {
+    uniform = *std::min_element(active, active + W);
+    if (uniform > 0) decode_group_simd(uniform);
   }
-  for (std::size_t r = vec_lanes; r < W; ++r) decode_lane(r, 0, active[r]);
+  for (std::size_t r = 0; r < W; ++r) decode_lane(r, uniform, active[r]);
 
-  // EXECUTE: SIMD over the full 8-lane groups — a width-16 band runs
-  // its two groups interleaved through one tick loop, anything else
-  // group by group, lanes whose quota ends early masked off tick by
-  // tick — then a scalar sweep for everything left: partial groups and
-  // the remainder of a block whose arena was declined mid-walk. Lanes
-  // are independent chains, so per-lane tick order is the only
-  // ordering that matters.
+  // EXECUTE: SIMD over a full 8-lane band, lanes whose quota ends early
+  // masked off tick by tick, then a scalar sweep for everything left:
+  // narrower bands and the remainder of a block whose arena was
+  // declined mid-walk. Lanes are independent chains, so per-lane tick
+  // order is the only ordering that matters.
   std::array<std::size_t, kMaxWidth> done{};
-  if (simd_ && arena_ok_) {
-    if (W == 16) {
-      std::size_t most = 0;
-      for (std::size_t r = 0; r < 16; ++r) most = std::max(most, active[r]);
-      const std::size_t stop =
-          most > 0 ? (compact_ ? execute_pair_simd<true>(0, active)
-                               : execute_pair_simd<false>(0, active))
-                   : 0;
-      for (std::size_t r = 0; r < 16; ++r) {
-        done[r] = std::min(stop, active[r]);
-      }
-    } else {
-      for (std::size_t g = 0; g + 8 <= W; g += 8) {
-        std::size_t most = 0;
-        for (std::size_t j = 0; j < 8; ++j) {
-          most = std::max(most, active[g + j]);
-        }
-        const std::size_t stop =
-            most > 0 ? (compact_ ? execute_group_simd<true>(g, 0, active)
-                                 : execute_group_simd<false>(g, 0, active))
-                     : 0;
-        for (std::size_t j = 0; j < 8; ++j) {
-          done[g + j] = std::min(stop, active[g + j]);
-        }
-        if (!arena_ok_) break;
-      }
-    }
+  if (simd_band && arena_ok_) {
+    const std::size_t stop = execute_group_simd(active);
+    for (std::size_t r = 0; r < W; ++r) done[r] = std::min(stop, active[r]);
   }
   for (std::size_t r = 0; r < W; ++r) {
     std::size_t from = done[r];
     if (from >= active[r]) continue;
-    if (arena_ok_) {
-      from = compact_ ? execute_lane<kPathCompact>(r, from, active[r])
-                      : execute_lane<kPathWide>(r, from, active[r]);
-    }
-    if (from < active[r]) execute_lane<kPathFlat>(r, from, active[r]);
+    if (arena_ok_) from = execute_lane<true>(r, from, active[r]);
+    if (from < active[r]) execute_lane<false>(r, from, active[r]);
   }
   flush_counters(active);
 }
@@ -751,14 +643,9 @@ void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
   stats_.tail_words += tail;
 }
 
-template <int kPath>
+template <bool kArena>
 std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
                                       std::size_t to) {
-  constexpr bool kArena = kPath != kPathFlat;
-  using Cell =
-      std::conditional_t<kPath == kPathCompact, std::uint16_t, std::uint32_t>;
-  constexpr std::uint32_t kCellIdxMask = cell::kIndexMask<Cell>;
-  constexpr int kNibShift = cell::kNibbleShift<Cell>;
   SeparationChain& chain = *chains_[r];
   system::ParticleSystem& sys = chain.sys_;
   const Params params = chain.params_;
@@ -766,12 +653,7 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
   const double* const pow_g = chain.pow_gamma_ + SeparationChain::kMaxExp;
   LaneCounts& c = lane_counts_[r];
   const std::size_t W = width();
-  Cell* cells = nullptr;
-  if constexpr (kPath == kPathCompact) {
-    cells = reinterpret_cast<Cell*>(cells16_.data());
-  } else if constexpr (kPath == kPathWide) {
-    cells = reinterpret_cast<Cell*>(cells_.data());
-  }
+  std::uint32_t* cells = cells_.data();
   std::size_t stop = to;
 
   for (std::size_t t = from; t < to; ++t) {
@@ -796,16 +678,16 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
         const std::uint32_t cl =
             cells[base + ring_off_[k][static_cast<std::size_t>(dir)]];
         occ |= static_cast<unsigned>(cl != 0) << k;
-        nib ^= static_cast<std::uint64_t>(cl >> kNibShift) << (4 * k);
+        nib ^= static_cast<std::uint64_t>(cl >> cell::kNibbleShift) << (4 * k);
       }
       const std::uint32_t lpc = cells[lp_cell];
       occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-      nib ^= static_cast<std::uint64_t>(lpc >> kNibShift) << 36;
+      nib ^= static_cast<std::uint64_t>(lpc >> cell::kNibbleShift) << 36;
       nib ^= static_cast<std::uint64_t>(pc >> 28) << 32;
       nb.occ = static_cast<std::uint16_t>(occ);
       nb.color_nibbles ^= nib;
       nb.p_at_l = pi;
-      nb.p_at_lp = static_cast<ParticleIndex>(lpc & kCellIdxMask) - 1;
+      nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kIndexMask) - 1;
     } else {
       nb = NeighborhoodView::gather(sys, l, dir, pi);
     }
@@ -842,22 +724,11 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
             dst.y - y0_[r] < kArenaSlack ||
             y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
           rebuild_arena();
-          // A footprint crossing the layout threshold flips compact_
-          // out from under this walk's cell width; decline the arena so
-          // the lane finishes FlatMap and the next run() entry rebuilds
-          // into the fresh layout.
-          if (arena_ok_ && compact_ != (kPath == kPathCompact)) {
-            arena_ok_ = false;
-          }
           if (!arena_ok_) {
             stop = t + 1;
             break;
           }
-          cells = reinterpret_cast<Cell*>(kPath == kPathCompact
-                                              ? static_cast<void*>(
-                                                    cells16_.data())
-                                              : static_cast<void*>(
-                                                    cells_.data()));
+          cells = cells_.data();
         }
       }
       continue;
@@ -874,9 +745,9 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
       const std::uint32_t a = cells[base];
       const std::uint32_t b = cells[lp_cell];
       const std::uint32_t mask =
-          ((a ^ b) >> kNibShift) != 0 ? ~std::uint32_t{0} : 0;
-      cells[base] = static_cast<Cell>(a ^ ((a ^ b) & mask));
-      cells[lp_cell] = static_cast<Cell>(b ^ ((a ^ b) & mask));
+          ((a ^ b) >> cell::kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
+      cells[base] = a ^ ((a ^ b) & mask);
+      cells[lp_cell] = b ^ ((a ^ b) & mask);
       if (mask != 0) {
         // Different colors: the particles exchanged cells; each keeps
         // its own color nibble, only the address parts swap.
@@ -893,12 +764,7 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
   return stop;
 }
 
-template <bool kCompact>
-bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
-                              const Spill& sp) {
-  using Cell =
-      std::conditional_t<kCompact, std::uint16_t, std::uint32_t>;
-  constexpr int kNibShift = cell::kNibbleShift<Cell>;
+bool ReplicaBand::apply_group(int mm_macc, int mm_sacc, const Spill& sp) {
   const std::size_t W = width();
 
   // Apply accepted lanes scalar through the same unchecked mutators
@@ -909,16 +775,14 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   // the rest of the block to the scalar FlatMap sweep.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const std::size_t r = g8 + static_cast<std::size_t>(j);
+    const auto r = static_cast<std::size_t>(j);
     system::ParticleSystem& sys = chains_[r]->sys_;
     const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
     const Node l = sys.position(pi);
     const Node dst = lattice::neighbor(l, static_cast<int>(sp.dir[j]));
     sys.apply_move_unchecked(pi, dst, sp.de[j], sp.dh[j]);
     if (!arena_ok_) continue;
-    Cell* const cl = kCompact
-                         ? reinterpret_cast<Cell*>(cells16_.data())
-                         : reinterpret_cast<Cell*>(cells_.data());
+    std::uint32_t* const cl = cells_.data();
     const std::size_t soa = static_cast<std::size_t>(sp.pi[j]) * W + r;
     const auto pc = static_cast<std::uint32_t>(pcell_[soa]);
     const std::int64_t base = pc & kIdxMask;
@@ -933,35 +797,22 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
         dst.y - y0_[r] < kArenaSlack ||
         y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
       rebuild_arena();
-      // The re-derived footprint can cross the layout threshold, but
-      // this walk is compiled for the other cell width (and the other
-      // store was just emptied): treat the flip as a declined arena so
-      // the block finishes on the FlatMap path and the next run() entry
-      // re-enters through the fresh layout.
-      if (arena_ok_ && compact_ != kCompact) arena_ok_ = false;
     }
   }
   for (int m = mm_sacc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const std::size_t r = g8 + static_cast<std::size_t>(j);
+    const auto r = static_cast<std::size_t>(j);
     system::ParticleSystem& sys = chains_[r]->sys_;
     const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
-    // The decide kernel hands back lp cells in the normalized top-
-    // nibble form, so the swap partner's index sits at bit 16 under the
-    // compact layout and bit 0 under the wide one.
-    const auto lpc = static_cast<std::uint32_t>(sp.lpc[j]);
-    const auto qj =
-        static_cast<ParticleIndex>(
-            kCompact ? ((lpc >> 16) & cell::kCompactIndexMask)
-                     : (lpc & cell::kWideIndexMask)) -
-        1;
+    const auto qj = static_cast<ParticleIndex>(
+                        static_cast<std::uint32_t>(sp.lpc[j]) &
+                        cell::kIndexMask) -
+                    1;
     sys.apply_swap_unchecked(pi, qj, -sp.sx[j]);
     if (!arena_ok_) continue;
     // The mirror exchange masks to a no-op for same-color swaps,
     // matching apply_swap_unchecked leaving the positions untouched.
-    Cell* const cl = kCompact
-                         ? reinterpret_cast<Cell*>(cells16_.data())
-                         : reinterpret_cast<Cell*>(cells_.data());
+    std::uint32_t* const cl = cells_.data();
     const std::size_t si = static_cast<std::size_t>(sp.pi[j]) * W + r;
     const std::size_t sj = static_cast<std::size_t>(qj) * W + r;
     const auto pci = static_cast<std::uint32_t>(pcell_[si]);
@@ -971,9 +822,9 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
     const std::uint32_t a = cl[base];
     const std::uint32_t b = cl[lp_cell];
     const std::uint32_t mask =
-        ((a ^ b) >> kNibShift) != 0 ? ~std::uint32_t{0} : 0;
-    cl[base] = static_cast<Cell>(a ^ ((a ^ b) & mask));
-    cl[lp_cell] = static_cast<Cell>(b ^ ((a ^ b) & mask));
+        ((a ^ b) >> cell::kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
+    cl[base] = a ^ ((a ^ b) & mask);
+    cl[lp_cell] = b ^ ((a ^ b) & mask);
     if (mask != 0) {
       const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
       pcell_[si] = static_cast<std::int32_t>((pci & ~kIdxMask) |
@@ -1004,12 +855,11 @@ void ReplicaBand::flush_counters(const std::size_t* active) {
 #if defined(SOPS_BAND_X86)
 
 __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
-    std::size_t g8, std::size_t ticks) {
+    std::size_t ticks) {
   if (decode512_) {
-    decode_group_simd512(g8, ticks);
+    decode_group_simd512(ticks);
     return;
   }
-  const std::size_t W = width();
   const std::uint64_t n = chains_[0]->sys_.size();
 
   // Pre-call snapshot: the rejection replay path restarts a lane's
@@ -1017,7 +867,7 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
   util::Rng::State snap[8];
   alignas(32) std::uint64_t st[4][8];
   for (std::size_t j = 0; j < 8; ++j) {
-    snap[j] = chains_[g8 + j]->rng_.state();
+    snap[j] = chains_[j]->rng_.state();
     for (std::size_t k = 0; k < 4; ++k) st[k][j] = snap[j][k];
   }
   __m256i s0a = _mm256_load_si256(reinterpret_cast<const __m256i*>(&st[0][0]));
@@ -1042,7 +892,7 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
   std::int32_t* const dr = dir_.data();
   std::uint64_t* const q = q_.data();
   for (std::size_t t = 0; t < ticks; ++t) {
-    const std::size_t idx = t * W + g8;
+    const std::size_t idx = t * 8;
     __m256i xa = xo_next4(s0a, s1a, s2a, s3a);
     __m256i xb = xo_next4(s0b, s1b, s2b, s3b);
     store_lo32x8(pi + idx, lemire4(xa, vn, vthrn, reja),
@@ -1070,8 +920,7 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
   _mm256_store_si256(reinterpret_cast<__m256i*>(&st[3][0]), s3a);
   _mm256_store_si256(reinterpret_cast<__m256i*>(&st[3][4]), s3b);
   for (std::size_t j = 0; j < 8; ++j) {
-    chains_[g8 + j]->rng_.set_state(
-        {st[0][j], st[1][j], st[2][j], st[3][j]});
+    chains_[j]->rng_.set_state({st[0][j], st[1][j], st[2][j], st[3][j]});
   }
 
   const int mrej = _mm256_movemask_pd(_mm256_castsi256_pd(reja)) |
@@ -1083,21 +932,20 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
     for (int m = mrej; m != 0; m &= m - 1) {
       const auto j = static_cast<std::size_t>(
           std::countr_zero(static_cast<unsigned>(m)));
-      chains_[g8 + j]->rng_.set_state(snap[j]);
-      decode_lane(g8 + j, 0, ticks);
+      chains_[j]->rng_.set_state(snap[j]);
+      decode_lane(j, 0, ticks);
     }
   }
 }
 
 __attribute__((target("avx512f"))) void ReplicaBand::decode_group_simd512(
-    std::size_t g8, std::size_t ticks) {
-  const std::size_t W = width();
+    std::size_t ticks) {
   const std::uint64_t n = chains_[0]->sys_.size();
 
   util::Rng::State snap[8];
   alignas(64) std::uint64_t st[4][8];
   for (std::size_t j = 0; j < 8; ++j) {
-    snap[j] = chains_[g8 + j]->rng_.state();
+    snap[j] = chains_[j]->rng_.state();
     for (std::size_t k = 0; k < 4; ++k) st[k][j] = snap[j][k];
   }
   __m512i s0 = _mm512_load_si512(&st[0][0]);
@@ -1117,7 +965,7 @@ __attribute__((target("avx512f"))) void ReplicaBand::decode_group_simd512(
   std::int32_t* const dr = dir_.data();
   std::uint64_t* const q = q_.data();
   for (std::size_t t = 0; t < ticks; ++t) {
-    const std::size_t idx = t * W + g8;
+    const std::size_t idx = t * 8;
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(pi + idx),
         _mm512_cvtepi64_epi32(
@@ -1136,43 +984,28 @@ __attribute__((target("avx512f"))) void ReplicaBand::decode_group_simd512(
   _mm512_store_si512(&st[2][0], s2);
   _mm512_store_si512(&st[3][0], s3);
   for (std::size_t j = 0; j < 8; ++j) {
-    chains_[g8 + j]->rng_.set_state(
-        {st[0][j], st[1][j], st[2][j], st[3][j]});
+    chains_[j]->rng_.set_state({st[0][j], st[1][j], st[2][j], st[3][j]});
   }
 
   if (rej != 0) [[unlikely]] {
     for (int m = rej; m != 0; m &= m - 1) {
       const auto j = static_cast<std::size_t>(
           std::countr_zero(static_cast<unsigned>(m)));
-      chains_[g8 + j]->rng_.set_state(snap[j]);
-      decode_lane(g8 + j, 0, ticks);
+      chains_[j]->rng_.set_state(snap[j]);
+      decode_lane(j, 0, ticks);
     }
   }
 }
 
-template <bool kCompact>
 __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
-    std::size_t g8, std::size_t from, const std::size_t* active) {
-  const std::size_t W = width();
-  const BandEnv env{pi_.data(),
-                    dir_.data(),
-                    q_.data(),
-                    itab_,
-                    ring_off_,
-                    lp_off_,
-                    W,
-                    (W & (W - 1)) == 0
-                        ? static_cast<int>(std::countr_zero(W))
-                        : -1,
-                    chains_[g8]->params_.swaps_enabled};
+    const std::size_t* active) {
+  const BandEnv env{pi_.data(), dir_.data(), q_.data(),
+                    itab_,      ring_off_,   lp_off_,
+                    chains_[0]->params_.swaps_enabled};
   Group G;
-  group_init(G, g8, active);
-  std::size_t to = 0;
-  std::size_t tmin = active[g8];
-  for (std::size_t j = 0; j < 8; ++j) {
-    to = std::max(to, active[g8 + j]);
-    tmin = std::min(tmin, active[g8 + j]);
-  }
+  group_init(G, active);
+  const std::size_t to = *std::max_element(active, active + 8);
+  const std::size_t tmin = *std::min_element(active, active + 8);
   std::size_t stop = to;
 
   // Ticks below every lane's quota run the maskless decide; only the
@@ -1183,32 +1016,29 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
   // common all-reject tick never reloads them.
   Spill sp;
   bool down = false;
-  std::size_t t = from;
-  const int* cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                              : reinterpret_cast<const int*>(cells_.data());
+  std::size_t t = 0;
+  const int* cells = reinterpret_cast<const int*>(cells_.data());
   const std::int32_t* pcell = pcell_.data();
   for (; t < tmin; ++t) {
-    const int mm = band_decide<kCompact, false>(env, G, cells, pcell, t, &sp);
+    const int mm = band_decide<false>(env, G, cells, pcell, t, &sp);
     if (mm != 0) {
-      if (!apply_group<kCompact>(g8, mm & 0xFF, mm >> 8, sp)) {
+      if (!apply_group(mm & 0xFF, mm >> 8, sp)) {
         stop = t + 1;
         down = true;
         break;
       }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
+      cells = reinterpret_cast<const int*>(cells_.data());
       pcell = pcell_.data();
     }
   }
   for (; !down && t < to; ++t) {
-    const int mm = band_decide<kCompact, true>(env, G, cells, pcell, t, &sp);
+    const int mm = band_decide<true>(env, G, cells, pcell, t, &sp);
     if (mm != 0) {
-      if (!apply_group<kCompact>(g8, mm & 0xFF, mm >> 8, sp)) {
+      if (!apply_group(mm & 0xFF, mm >> 8, sp)) {
         stop = t + 1;
         break;
       }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
+      cells = reinterpret_cast<const int*>(cells_.data());
       pcell = pcell_.data();
     }
   }
@@ -1222,8 +1052,8 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
   _mm256_store_si256(reinterpret_cast<__m256i*>(acc[4]), G.acc_rmet);
   _mm256_store_si256(reinterpret_cast<__m256i*>(acc[5]), G.acc_swapp);
   _mm256_store_si256(reinterpret_cast<__m256i*>(acc[6]), G.acc_sacc);
-  for (int j = 0; j < 8; ++j) {
-    LaneCounts& lc = lane_counts_[g8 + static_cast<std::size_t>(j)];
+  for (std::size_t j = 0; j < 8; ++j) {
+    LaneCounts& lc = lane_counts_[j];
     lc.move_proposals += static_cast<std::uint32_t>(acc[0][j]);
     lc.moves_accepted += static_cast<std::uint32_t>(acc[1][j]);
     lc.rejected_five += static_cast<std::uint32_t>(acc[2][j]);
@@ -1231,148 +1061,29 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
     lc.rejected_metropolis += static_cast<std::uint32_t>(acc[4][j]);
     lc.swap_proposals += static_cast<std::uint32_t>(acc[5][j]);
     lc.swaps_accepted += static_cast<std::uint32_t>(acc[6][j]);
-  }
-  for (std::size_t j = 0; j < 8; ++j) {
-    const std::size_t a = active[g8 + j];
-    stats_.simd_steps += std::min(stop, a) - std::min(from, a);
-  }
-  return stop;
-}
-
-template <bool kCompact>
-__attribute__((target("avx2"))) std::size_t ReplicaBand::execute_pair_simd(
-    std::size_t from, const std::size_t* active) {
-  // Width-16 only: the two 8-lane groups advance through ONE tick loop,
-  // the second group's decide issued while the first one's gathers are
-  // still in flight, so neither group's gather latency serializes the
-  // tick. Lanes never read another lane's plane, so running both
-  // decides before either apply changes scheduling, not results; the
-  // applies re-read the live packed SoA exactly as the single-group
-  // path does.
-  const std::size_t W = width();
-  const BandEnv env{pi_.data(),
-                    dir_.data(),
-                    q_.data(),
-                    itab_,
-                    ring_off_,
-                    lp_off_,
-                    W,
-                    4,  // W == 16
-                    chains_[0]->params_.swaps_enabled};
-  Group A, B;
-  group_init(A, 0, active);
-  group_init(B, 8, active);
-  std::size_t to = 0;
-  std::size_t tmin = active[0];
-  for (std::size_t r = 0; r < 16; ++r) {
-    to = std::max(to, active[r]);
-    tmin = std::min(tmin, active[r]);
-  }
-  std::size_t stop = to;
-
-  Spill sa, sb;
-  bool down = false;
-  std::size_t t = from;
-  const int* cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                              : reinterpret_cast<const int*>(cells_.data());
-  const std::int32_t* pcell = pcell_.data();
-  for (; t < tmin; ++t) {
-    const int ma = band_decide<kCompact, false>(env, A, cells, pcell, t, &sa);
-    const int mb = band_decide<kCompact, false>(env, B, cells, pcell, t, &sb);
-    if ((ma | mb) != 0) {
-      // A declined drift rebuild in A's applies must not skip B's: the
-      // decisions are already made, and apply_group itself skips only
-      // the arena mirroring once arena_ok_ is down.
-      if (ma != 0) apply_group<kCompact>(0, ma & 0xFF, ma >> 8, sa);
-      if (mb != 0) apply_group<kCompact>(8, mb & 0xFF, mb >> 8, sb);
-      if (!arena_ok_) {
-        stop = t + 1;
-        down = true;
-        break;
-      }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
-      pcell = pcell_.data();
-    }
-  }
-  for (; !down && t < to; ++t) {
-    const int ma = band_decide<kCompact, true>(env, A, cells, pcell, t, &sa);
-    const int mb = band_decide<kCompact, true>(env, B, cells, pcell, t, &sb);
-    if ((ma | mb) != 0) {
-      if (ma != 0) apply_group<kCompact>(0, ma & 0xFF, ma >> 8, sa);
-      if (mb != 0) apply_group<kCompact>(8, mb & 0xFF, mb >> 8, sb);
-      if (!arena_ok_) {
-        stop = t + 1;
-        break;
-      }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
-      pcell = pcell_.data();
-    }
-  }
-
-  for (const Group* G : {&A, &B}) {
-    alignas(32) std::int32_t acc[7][8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[0]), G->acc_movep);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[1]), G->acc_macc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[2]), G->acc_r5);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[3]), G->acc_rloc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[4]), G->acc_rmet);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[5]), G->acc_swapp);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[6]), G->acc_sacc);
-    for (int j = 0; j < 8; ++j) {
-      LaneCounts& lc = lane_counts_[G->g8 + static_cast<std::size_t>(j)];
-      lc.move_proposals += static_cast<std::uint32_t>(acc[0][j]);
-      lc.moves_accepted += static_cast<std::uint32_t>(acc[1][j]);
-      lc.rejected_five += static_cast<std::uint32_t>(acc[2][j]);
-      lc.rejected_locality += static_cast<std::uint32_t>(acc[3][j]);
-      lc.rejected_metropolis += static_cast<std::uint32_t>(acc[4][j]);
-      lc.swap_proposals += static_cast<std::uint32_t>(acc[5][j]);
-      lc.swaps_accepted += static_cast<std::uint32_t>(acc[6][j]);
-    }
-  }
-  for (std::size_t r = 0; r < 16; ++r) {
-    const std::size_t a = active[r];
-    stats_.simd_steps += std::min(stop, a) - std::min(from, a);
+    stats_.simd_steps += std::min(stop, active[j]);
   }
   return stop;
 }
 
 #else  // !SOPS_BAND_X86
 
-void ReplicaBand::decode_group_simd(std::size_t g8, std::size_t ticks) {
+void ReplicaBand::decode_group_simd(std::size_t ticks) {
   // Unreachable in practice (simd_ is never true off x86-64); decode
   // scalar so the contract holds if it is ever called anyway.
-  for (std::size_t j = 0; j < 8; ++j) decode_lane(g8 + j, 0, ticks);
+  for (std::size_t j = 0; j < 8; ++j) decode_lane(j, 0, ticks);
 }
 
-void ReplicaBand::decode_group_simd512(std::size_t g8, std::size_t ticks) {
-  decode_group_simd(g8, ticks);
+void ReplicaBand::decode_group_simd512(std::size_t ticks) {
+  decode_group_simd(ticks);
 }
 
-template <bool kCompact>
-std::size_t ReplicaBand::execute_group_simd(std::size_t, std::size_t from,
-                                            const std::size_t*) {
+std::size_t ReplicaBand::execute_group_simd(const std::size_t*) {
   // Unreachable: simd_ can never be true off x86-64 (auto_simd() is
-  // false and Mode::kSimd throws). Report no progress so the scalar
-  // sweep covers everything if it is ever called anyway.
-  return from;
+  // false). Report no progress so the scalar sweep covers everything if
+  // it is ever called anyway.
+  return 0;
 }
-
-template <bool kCompact>
-std::size_t ReplicaBand::execute_pair_simd(std::size_t from,
-                                           const std::size_t*) {
-  return from;
-}
-
-template std::size_t ReplicaBand::execute_group_simd<true>(
-    std::size_t, std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_group_simd<false>(
-    std::size_t, std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_pair_simd<true>(
-    std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_pair_simd<false>(
-    std::size_t, const std::size_t*);
 
 #endif
 

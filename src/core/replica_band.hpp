@@ -1,4 +1,4 @@
-// The batched executor of Algorithm 1: lock-step advance of 1–16
+// The batched executor of Algorithm 1: lock-step advance of 1–8
 // chains sharing the same (n, λ, γ).
 //
 // Within one chain, steps are inherently sequential — every proposal
@@ -7,12 +7,12 @@
 // every trajectory that way, batching the RNG draws and reading
 // occupancy from a dense arena instead of the FlatMap. Across the
 // replicas of a sweep point steps are perfectly independent, and that
-// is the axis the band vectorizes. ReplicaBand binds 1–16 chains
+// is the axis the band vectorizes. ReplicaBand binds 1–8 chains
 // sharing the same particle count and parameters and advances them in
 // lock-step "ticks", one step per replica per tick:
 //
 //  - REFILL/DECODE keeps one util::Rng stream per replica, and for a
-//    full 8-lane group runs the stream itself in SIMD: the xoshiro256++
+//    full 8-lane band runs the stream itself in SIMD: the xoshiro256++
 //    states live as structure-of-arrays vector registers, each tick
 //    generates the band's three raw words with vector rotate/xor, and
 //    the Lemire multiply-shift decode happens in 64-bit vector lanes.
@@ -20,7 +20,7 @@
 //    per ~2^40 draws) rejection branch is detected and replayed on the
 //    scalar util::lemire_below path from its pre-block state, so word
 //    consumption stays identical to serial step(). Ragged lanes and
-//    partial groups decode scalar (Rng::fill + lemire_below) as well.
+//    narrower bands decode scalar (Rng::fill + lemire_below) as well.
 //    Proposals land in lane-transposed arrays (tick-major, lane-minor)
 //    so one tick's band of proposals is a contiguous vector load.
 //  - EXECUTE vectorizes ACROSS lanes. Every replica owns a dense
@@ -36,33 +36,19 @@
 //    multiply+compare, exact because λ^0 ≡ 1.0 — bit-identical per
 //    lane to step()'s `q >= λ^Δe · γ^Δe_i` (resp. `q >= γ^sx`) test.
 //    Lanes whose step quota ran out mid-block are masked off inside
-//    the tick instead of demoting the group, so ragged quotas stay
+//    the tick instead of demoting the band, so ragged quotas stay
 //    vectorized. Accepted lanes (typically a small minority) apply
 //    scalar through the same *_unchecked mutators the scalar lanes use.
 //
-// Arena cells use the layouts of cell_codec.hpp, selected per rebuild:
-// the compact 16-bit encoding (index+1 in 12 bits, color nibble at
-// 12..15) whenever n + 1 fits its index field, halving the per-plane
-// footprint so even eight n=1600 planes stay cache-resident; the wide
-// 32-bit encoding otherwise (always above n = 4094). Compact
-// cells are gathered pairwise with scale-2 epi32 gathers and widened
-// in-register — one shift normalizes either layout to the same
-// top-nibble form, so the decision kernel is layout-generic.
+// Arena cells are the 32-bit encoding of cell_codec.hpp.
 //
-// Width-16 bands run their two 8-lane groups *interleaved*: each tick
-// issues group B's neighborhood gathers while group A's SWAR/LUT/
-// Metropolis arithmetic is still in flight, so gather latency hides
-// behind the other group's independent work instead of serializing
-// group-after-group. Lanes are independent chains, so the pairing
-// changes instruction scheduling only, never any lane's trajectory.
-//
-// Dispatch is runtime: the SIMD path engages only when the CPU reports
-// AVX2, `SOPS_FORCE_SCALAR` is not set, and the arena covers every
-// lane's bounding box economically. Everything else — widths below 8
-// (a single chain included), arena-cap refusals, drift rebuilds that
-// decline mid-run — falls back to per-lane scalar execution over the
-// arena or, failing that, the FlatMap gather path. All paths produce
-// the same bytes.
+// Dispatch is runtime: the SIMD path engages only for a full 8-lane
+// band, when the CPU reports AVX2, `SOPS_FORCE_SCALAR` is not set, and
+// the arena covers every lane's bounding box economically. Everything
+// else — narrower bands (a single chain included), arena-cap refusals,
+// drift rebuilds that decline mid-run — falls back to per-lane scalar
+// execution over the arena or, failing that, the FlatMap gather path.
+// All paths produce the same bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -75,34 +61,23 @@
 #include <span>
 #include <vector>
 
-#include "src/core/cell_codec.hpp"
 #include "src/core/markov_chain.hpp"
-
-// Member templates need the target attribute on their in-class
-// declaration: GCC resolves a template's target at instantiation from
-// the declaration it sees, not from the out-of-class definition.
-#if defined(__x86_64__) || defined(_M_X64)
-#define SOPS_BAND_AVX2_FN __attribute__((target("avx2")))
-#else
-#define SOPS_BAND_AVX2_FN
-#endif
 
 namespace sops::core {
 
 class ReplicaBand {
  public:
-  /// Lanes per band. 8 is one AVX2 gather; 16 runs two SIMD groups
-  /// interleaved through one tick loop, hiding gather latency behind
-  /// the sibling group's arithmetic.
-  static constexpr std::size_t kMaxWidth = 16;
+  /// Lanes per band: one AVX2 gather of eight 32-bit cells, the only
+  /// width the SIMD path runs.
+  static constexpr std::size_t kMaxWidth = 8;
   static constexpr std::size_t kDefaultBlockSize = 256;
   static constexpr std::size_t kMaxBlockSize = 4096;
 
   /// Execution-path selection. kAuto resolves to SIMD when the CPU
   /// supports AVX2 and the SOPS_FORCE_SCALAR environment variable is
   /// unset; kScalar forces the per-lane fallback (CI exercises it
-  /// explicitly); kSimd demands AVX2 and throws without it.
-  enum class Mode { kAuto, kScalar, kSimd };
+  /// explicitly).
+  enum class Mode { kAuto, kScalar };
 
   /// Telemetry only; never feeds back into any trajectory. Surfaced as
   /// benchmark counters by BM_ReplicaBand (simd_fraction = simd_steps /
@@ -154,14 +129,9 @@ class ReplicaBand {
   [[nodiscard]] std::size_t width() const noexcept { return chains_.size(); }
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// True when the resolved mode can use AVX2 (arena permitting).
+  /// True when the resolved mode can use AVX2 (a full 8-lane band and
+  /// the arena permitting).
   [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
-  /// True when the current arena uses the compact 16-bit cell layout
-  /// (n <= cell::kCompactIndexMask - 1 at the last rebuild). Exposed so
-  /// the layout-boundary tests can pin the selection.
-  [[nodiscard]] bool arena_compact() const noexcept {
-    return arena_ok_ && compact_;
-  }
 
   /// What Mode::kAuto resolves to on this machine right now (CPU
   /// capability ∧ !SOPS_FORCE_SCALAR). Exposed for tests and benches.
@@ -169,19 +139,14 @@ class ReplicaBand {
 
  private:
   // Packed per-particle SoA: low kIdxBits bits hold the particle's
-  // arena cell index, top nibble its encoded color (c ^ 0xF). This
-  // encoding is layout-independent — only the arena cells themselves
-  // shrink under the compact layout.
+  // arena cell index, top nibble its encoded color (c ^ 0xF).
   static constexpr int kIdxBits = 28;
   static constexpr std::uint32_t kIdxMask = (1u << kIdxBits) - 1;
   static constexpr std::int64_t kArenaMargin = 8;
   static constexpr std::int64_t kArenaSlack = 3;
 
-  // Scalar execute paths: FlatMap gather, wide arena, compact arena.
-  enum : int { kPathFlat = 0, kPathWide = 1, kPathCompact = 2 };
-
  public:
-  /// Spilled per-tick decision vectors of one 8-lane group, handed from
+  /// Spilled per-tick decision vectors of the 8-lane band, handed from
   /// the SIMD decide kernel to the scalar apply walk. Written only on
   /// ticks with at least one accepted lane — most ticks never touch it.
   struct Spill {
@@ -195,59 +160,46 @@ class ReplicaBand {
 
  private:
 
-  void run_block(const std::size_t* active, std::size_t max_active);
+  void run_block(const std::size_t* active);
   /// Decodes ticks [from, to) of lane `r` on the scalar path: Rng::fill
   /// bulk refill + the shared util::lemire_below, rejection spills
   /// drawn from the live generator.
   void decode_lane(std::size_t r, std::size_t from, std::size_t to);
-  /// Decodes ticks [0, ticks) for the full 8-lane group at `g8` with
-  /// the vectorized xoshiro256++/Lemire path; lanes that would hit the
+  /// Decodes ticks [0, ticks) for the full 8-lane band with the
+  /// vectorized xoshiro256++/Lemire path; lanes that would hit the
   /// Lemire rejection branch are replayed scalar from their pre-call
   /// RNG state. Requires n < 2^24 (the vector rejection test's range).
   /// Dispatches to the AVX-512 body below when the CPU has it.
-  void decode_group_simd(std::size_t g8, std::size_t ticks);
+  void decode_group_simd(std::size_t ticks);
   /// AVX-512 twin of decode_group_simd: all eight lanes' xoshiro256++
   /// states live in four zmm registers, so each draw is one vector op
   /// sequence instead of two 4-lane halves. Every operation is an
   /// exact integer op — the produced words, rejection replays, and
   /// post-call RNG states are identical to the AVX2 body's.
-  void decode_group_simd512(std::size_t g8, std::size_t ticks);
-  /// Executes decoded ticks [from, to) of lane `r` on the scalar path
-  /// selected by kPath (kPathFlat / kPathWide / kPathCompact). Returns
-  /// `to` normally, or the resume tick when the arena was declined
-  /// mid-walk (arena paths only); the caller re-enters with kPathFlat.
-  template <int kPath>
+  void decode_group_simd512(std::size_t ticks);
+  /// Executes decoded ticks [from, to) of lane `r` on the scalar path,
+  /// over the arena when kArena, else through the FlatMap gather.
+  /// Returns `to` normally, or the resume tick when the arena was
+  /// declined mid-walk (arena path only); the caller re-enters with
+  /// kArena = false.
+  template <bool kArena>
   std::size_t execute_lane(std::size_t r, std::size_t from, std::size_t to);
-  /// Executes ticks [from, max over the group of active[g8+j]) for the
-  /// 8-lane group starting at lane `g8` with AVX2 gathers; lanes whose
-  /// active count is below the current tick are masked off. Returns
-  /// the tick it stopped at (the max normally; early when a drift
-  /// rebuild declined the arena).
-  template <bool kCompact>
-  SOPS_BAND_AVX2_FN std::size_t execute_group_simd(std::size_t g8,
-                                                   std::size_t from,
-                                                   const std::size_t* active);
-  /// The width-16 path: groups 0 and 8 advance through ONE tick loop,
-  /// their instruction streams interleaved so one group's gathers
-  /// overlap the other's arithmetic. Semantically identical to two
-  /// execute_group_simd calls — lanes never interact.
-  template <bool kCompact>
-  SOPS_BAND_AVX2_FN std::size_t execute_pair_simd(std::size_t from,
-                                                  const std::size_t* active);
-  /// Applies one group's accepted moves/swaps (mask bits of mm_macc /
-  /// mm_sacc) scalar through the *_unchecked mutators, mirroring each
-  /// into the arena. Returns false when a drift rebuild declined the
-  /// arena (caller stops the SIMD walk after this tick).
-  template <bool kCompact>
-  bool apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
+  /// Executes ticks [0, max over the lanes of active[j]) for the full
+  /// 8-lane band with AVX2 gathers; lanes whose active count is below
+  /// the current tick are masked off. Returns the tick it stopped at
+  /// (the max normally; early when a drift rebuild declined the arena).
+  std::size_t execute_group_simd(const std::size_t* active);
+  /// Applies the accepted moves/swaps of one tick (mask bits of
+  /// mm_macc / mm_sacc) scalar through the *_unchecked mutators,
+  /// mirroring each into the arena. Returns false when a drift rebuild
+  /// declined the arena (caller stops the SIMD walk after this tick).
+  bool apply_group(int mm_macc, int mm_sacc, const Spill& sp);
 
-  /// (Re)builds the shared-geometry arena — selecting the compact or
-  /// wide cell layout by n — plus the per-lane position/color SoA and
-  /// the direction offset tables; arena_ok_ = false when any lane's
-  /// bounding box makes the shared plane uneconomical.
+  /// (Re)builds the shared-geometry arena, the per-lane position/color
+  /// SoA and the direction offset tables; arena_ok_ = false when any
+  /// lane's bounding box makes the shared plane uneconomical.
   void rebuild_arena();
-  template <typename Cell>
-  void fill_arena(std::vector<Cell>& cells, std::int64_t plane);
+  void fill_arena(std::int64_t plane);
   void flush_counters(const std::size_t* active);
 
   std::vector<SeparationChain*> chains_;
@@ -268,17 +220,12 @@ class ReplicaBand {
   // Arena: one dense mirror plane of w_*h_ cells per lane, planes
   // consecutive. Lane r's cell for axial (x, y) sits at
   // gbase_[r] + y*w_ + x — the per-lane origin is folded into gbase_,
-  // so a particle's whole arena address is one int32. Exactly one of
-  // cells_/cells16_ is live per rebuild (compact_ selects; cells16_
-  // carries two cells of tail padding so the scale-2 pair gathers of
-  // the SIMD path never read past the allocation).
+  // so a particle's whole arena address is one int32.
   std::vector<std::uint32_t> cells_;
-  std::vector<std::uint16_t> cells16_;
   std::vector<std::int64_t> gbase_;
   std::vector<std::int64_t> x0_, y0_;  ///< per-lane box origins
   std::int64_t w_ = 0, h_ = 0;         ///< shared plane extent
   bool arena_ok_ = false;
-  bool compact_ = false;               ///< 16-bit cell layout selected
 
   // Packed particle SoA, lane-minor like the proposals: particle i of
   // lane r at [i * width + r] holds (arena cell index | nibble << 28),
@@ -304,26 +251,15 @@ class ReplicaBand {
   // (a, b) = (Δe, Δe_i) ∈ [-5, 5]²; swaps read (0, sx), sx ∈ [-10, 10]
   // (λ^0 ≡ 1.0 leaves γ^sx exact). Stride 32 makes the index one
   // shift+add. ~2.8 KB, L1-resident. Only the 8-lane SIMD execute reads
-  // it, so the constructor fills it only when such a group can form.
+  // it, so the constructor fills it only for a full 8-lane band.
   static constexpr int kWtabStride = 32;
   alignas(64) std::int64_t itab_[11 * kWtabStride] = {};
-
-  // Wide-layout arena bytes (plane · W · 4) above which rebuild_arena
-  // picks the compact cell layout when n also fits its 12-bit index
-  // field. Below this the planes are cache-resident either way and the
-  // compact path's scale-2 pair gathers (a ~3% cacheline-split rate 32-
-  // bit reads at 16-bit alignment) cost more than halving the
-  // footprint buys; above it the halved planes relieve L1/L2 pressure.
-  // SOPS_BAND_COMPACT=0/1 overrides the policy (tests pin both layouts
-  // at the same n with it).
-  static constexpr std::int64_t kCompactSelectBytes = 192 * 1024;
 
   // Arena reuse across run() calls: the per-lane step counters at last
   // sync. A mismatch on entry means the chain advanced outside the
   // band, so the mirror is stale and run() rebuilds.
   std::array<std::uint64_t, kMaxWidth> synced_steps_{};
   bool arena_synced_ = false;
-  int layout_override_ = -1;  ///< SOPS_BAND_COMPACT: -1 policy, 0/1 forced
 
   // Per-lane counter accumulators, flushed per block.
   struct LaneCounts {

@@ -150,8 +150,8 @@ struct ChainJob {
 
   /// Across-replica banding (core::ReplicaBand): when ≥ 2, replicas of
   /// the same grid cell are grouped into lock-step bands of up to this
-  /// many lanes (clamped to ReplicaBand::kMaxWidth) and one band is one
-  /// pool task. Ragged tails, non-bandable models (band_chain() ==
+  /// many lanes (clamped to ReplicaBand::kMaxWidth = 8) and one band is
+  /// one pool task. Ragged tails, non-bandable models (band_chain() ==
   /// nullptr), and lanes whose parameters disagree fall back to each
   /// replica running alone inside the same grouping. Purely an
   /// execution strategy: the band's byte-identity contract makes every

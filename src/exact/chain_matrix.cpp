@@ -12,7 +12,6 @@ namespace sops::exact {
 using core::Params;
 using lattice::kDegree;
 using lattice::Node;
-using system::Color;
 using system::ParticleIndex;
 using system::ParticleSystem;
 
@@ -39,7 +38,6 @@ ChainMatrix::ChainMatrix(const std::vector<std::size_t>& color_counts,
     for (std::size_t p = 0; p < n; ++p) {
       const auto pi = static_cast<ParticleIndex>(p);
       const Node l = sys.position(pi);
-      const Color ci = sys.color(pi);
       for (int dir = 0; dir < kDegree; ++dir) {
         const Node lp = lattice::neighbor(l, dir);
         const ParticleIndex qi = sys.particle_at(lp);
@@ -48,7 +46,8 @@ ChainMatrix::ChainMatrix(const std::vector<std::size_t>& color_counts,
         std::size_t target = si;
         if (qi == system::kNoParticle) {
           const int e = sys.neighbor_count(l);
-          if (e != 5 && core::move_preserves_invariants(sys, l, dir)) {
+          if (e != 5 &&
+              core::move_preserves_invariants_reference(sys, l, dir)) {
             accept =
                 std::min(1.0, core::move_weight(sys, params_, l, dir));
             // Apply, canonicalize, revert.

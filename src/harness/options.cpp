@@ -41,10 +41,11 @@ Options parse_options(int argc, char** argv, bool with_shard,
   cli.add_option("telemetry", "append per-task JSONL records to this file",
                  "");
   cli.add_option("replica-band",
-                 "advance up to N same-cell replicas per core in lock-step "
-                 "(core::ReplicaBand; 1 (default) = each replica runs "
-                 "alone; the paper's grids have one replica per cell, so "
-                 "N >= 2 changes nothing on them; byte-identical output)",
+                 "advance up to N (at most 8) same-cell replicas per core "
+                 "in lock-step (core::ReplicaBand; 1 (default) = each "
+                 "replica runs alone; the paper's grids have one replica "
+                 "per cell, so N >= 2 changes nothing on them; "
+                 "byte-identical output)",
                  "1");
   if (with_shard) {
     cli.add_option("shard", "run shard k of n ('k/n'); needs --shard-out", "");
@@ -102,12 +103,12 @@ Options parse_options(int argc, char** argv, bool with_shard,
     }
     opt.threads = static_cast<unsigned>(threads);
     const std::uint64_t band = cli.unsigned_integer("replica-band");
-    // The band engine tops out at kMaxWidth lanes (two interleaved
-    // 8-lane SIMD groups); reject out-of-range widths at the CLI
-    // instead of silently clamping hours into a sweep.
+    // The band engine tops out at kMaxWidth lanes (one 8-lane SIMD
+    // group); reject out-of-range widths at the CLI instead of silently
+    // clamping hours into a sweep.
     if (band < 1 || band > core::ReplicaBand::kMaxWidth) {
       throw std::invalid_argument(
-          "cli: --replica-band out of range (legal range [1,16]; 1 = "
+          "cli: --replica-band out of range (legal range [1,8]; 1 = "
           "each replica runs alone)");
     }
     opt.replica_band = static_cast<std::size_t>(band);

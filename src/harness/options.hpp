@@ -9,7 +9,7 @@
 //   --telemetry F  append per-task JSONL telemetry records to F
 //   --replica-band N  advance up to N same-cell replicas in lock-step
 //                  per core (core::ReplicaBand) for chain-protocol
-//                  sweeps; legal range [1,16], 1 (default) = each
+//                  sweeps; legal range [1,8], 1 (default) = each
 //                  replica runs alone; output is byte-identical at
 //                  every width. The paper's grids have one replica per
 //                  cell, so N >= 2 changes nothing on them
@@ -55,7 +55,7 @@ struct Options {
   unsigned threads = 0;    ///< engine pool size; 0 = hardware concurrency
   std::string telemetry;   ///< JSONL telemetry path; empty = disabled
   /// --replica-band N: lock-step band width for chain-protocol sweeps
-  /// (engine::ChainJob::replica_band). Legal range [1, 16] at the CLI
+  /// (engine::ChainJob::replica_band). Legal range [1, 8] at the CLI
   /// (core::ReplicaBand::kMaxWidth lanes); 1 (default) = each replica
   /// runs alone. Bands group replicas of one grid cell, and the paper's
   /// grids have one replica per cell, so N >= 2 changes nothing on
