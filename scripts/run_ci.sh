@@ -12,7 +12,10 @@
 # binaries (shard, checkpoint, service, model and the util::record
 # pinned-bytes and mutation-fuzz tests) in <build-dir>-asan and runs them
 # with UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
-# behaviour on a refusal path fails CI, not only a wrong exception.
+# behaviour on a refusal path fails CI, not only a wrong exception. A
+# ThreadSanitizer tier rebuilds the test binaries that start threads
+# (thread pool, engine, shard, checkpoint, harness, service) in
+# <build-dir>-tsan and runs their label tiers, so a data race fails CI.
 #
 # Usage: scripts/run_ci.sh [build-dir]
 #   build-dir  CMake build tree to create/reuse (default: build)
@@ -24,12 +27,6 @@
 #                     regression beyond the tolerance instead of the
 #                     default warn-only behavior (see
 #                     bench_kernels_snapshot.sh --compare --tolerance)
-#   SOPS_CI_TSAN      also configure a -DSOPS_SANITIZE=thread tree in
-#                     <build-dir>-tsan and run the race-check tiers
-#                     there: ctest -L 'core|engine|shard|checkpoint|…'
-#                     (the core tier carries the replica-band and
-#                     neighborhood equivalence tests; the checkpoint
-#                     tier races snapshot writers across the pool)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,19 +90,20 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
   -L 'shard|checkpoint|service|model|record'
 
+echo "== TSan tier (engine|shard|checkpoint|harness|service under ${build_dir}-tsan)"
+# No core test or src/core file starts a thread, so the core tier stays
+# out: these are the binaries that run the pool.
+cmake -S . -B "${build_dir}-tsan" -DSOPS_SANITIZE=thread \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "${build_dir}-tsan" -j "$jobs" --target thread_pool_test \
+  engine_test shard_test checkpoint_test harness_test service_test
+ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
+  -L 'engine|shard|checkpoint|harness|service'
+
 echo "== kernel perf vs recorded snapshot ($(
   [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] \
     && echo "strict: SOPS_BENCH_STRICT=1" || echo warn-only))"
 scripts/bench_kernels_snapshot.sh --compare --counters "$build_dir" \
   BENCH_kernels.json
-
-if [[ -n ${SOPS_CI_TSAN:-} && ${SOPS_CI_TSAN:-} != 0 ]]; then
-  echo "== TSan tiers (core|engine|shard|checkpoint|harness|service under ${build_dir}-tsan)"
-  cmake -S . -B "${build_dir}-tsan" -DSOPS_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "${build_dir}-tsan" -j "$jobs"
-  ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
-    -L 'core|engine|shard|checkpoint|harness|service'
-fi
 
 echo "PASS: CI green"

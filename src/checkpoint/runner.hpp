@@ -2,16 +2,16 @@
 // slot-indexed by Task::index, byte-identical at any thread count) plus
 // durable per-task snapshots and resume.
 //
-// For model-backed tasks (ChainJob::make_model) the runner
-// re-implements the two driver protocols (checkpoint-list and
-// equilibrium) as segmented drives of one ChainModel, pausing at
-// multiples of `Policy::every` to write a partial snapshot.
-// Segmentation is invisible to the trajectory — ChainModel::run
-// consumes no RNG draw beyond the steps asked of it — so a run that
-// snapshots every 10k steps is byte-identical to one that never pauses,
-// and a resumed run is byte-identical to an uninterrupted one. That
-// identity is the subsystem's acceptance bar, pinned by
-// tests/checkpoint_test.cpp and scripts/check_checkpoint_kill9.sh.
+// Tasks fan out through engine::run_ensemble. For model-backed tasks
+// (ChainJob::make_model) each one walks the same targets make_task_fn
+// walks (engine::protocol_targets, model::walk), pausing at multiples of
+// `Policy::every` to write a partial snapshot. Segmentation is
+// invisible to the trajectory — ChainModel::run consumes no RNG draw
+// beyond the steps asked of it — so a run that snapshots every 10k
+// steps is byte-identical to one that never pauses, and a resumed run
+// is byte-identical to an uninterrupted one. That identity is the
+// subsystem's acceptance bar, pinned by tests/checkpoint_test.cpp and
+// scripts/check_checkpoint_kill9.sh.
 // Resume dispatches through the model registry (snapshot.model tag), so
 // the runner itself carries no model-specific code.
 //

@@ -468,8 +468,7 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   // The arena and SoA are derived state. They survive across run()
   // calls as long as no bound chain advanced outside the band: the
   // step counters are monotone, so comparing them against the counts
-  // recorded at the last sync detects any interleaved serial stepping
-  // (see invalidate_arena() for the one case it cannot see).
+  // recorded at the last sync detects any interleaved serial stepping.
   bool fresh = arena_ok_ && arena_synced_;
   for (std::size_t r = 0; fresh && r < width(); ++r) {
     fresh = chains_[r]->counters_.steps == synced_steps_[r];

@@ -112,19 +112,10 @@ class ReplicaBand {
   ///
   /// The arena survives across run() calls: it is rebuilt only when a
   /// bound chain's step counter moved outside the band (the counter is
-  /// monotone, so any interleaved serial stepping is detected). The one
-  /// blind spot is replacing a chain's state in place at an identical
-  /// step count (e.g. restoring a foreign checkpoint into a bound
-  /// chain); call invalidate_arena() after such a swap.
+  /// monotone, so any interleaved serial stepping is detected). So a
+  /// bound chain's state must not be replaced in place at an unchanged
+  /// step count.
   void run(std::span<const std::uint64_t> quotas);
-
-  /// Drops the cached arena; the next run() rebuilds from the live
-  /// systems. Needed only after mutating a bound chain's configuration
-  /// without advancing its step counter.
-  void invalidate_arena() noexcept {
-    arena_ok_ = false;
-    arena_synced_ = false;
-  }
 
   [[nodiscard]] std::size_t width() const noexcept { return chains_.size(); }
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }

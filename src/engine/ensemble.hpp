@@ -24,7 +24,6 @@
 #include "src/engine/progress.hpp"
 #include "src/engine/thread_pool.hpp"
 #include "src/model/model.hpp"
-#include "src/util/stats.hpp"
 
 namespace sops::engine {
 
@@ -86,11 +85,12 @@ class Cancelled : public std::runtime_error {
 };
 
 /// Fans `tasks` out over `pool`, returns results ordered by Task::index.
-/// Exceptions propagate per ThreadPool::parallel_for (lowest task index
-/// wins). `sink` (optional) receives one telemetry record per task.
-/// `cancel` (optional) is polled before each task body: once it reads
-/// true, every not-yet-started task throws Cancelled, which propagates
-/// after in-flight tasks drain.
+/// `fn` receives the span's own element, so `&task - tasks.data()` is
+/// its result slot. Exceptions propagate per ThreadPool::parallel_for
+/// (lowest task index wins). `sink` (optional) receives one telemetry
+/// record per task. `cancel` (optional) is polled before each task
+/// body: once it reads true, every not-yet-started task throws
+/// Cancelled, which propagates after in-flight tasks drain.
 std::vector<TaskResult> run_ensemble(ThreadPool& pool,
                                      std::span<const Task> tasks,
                                      const TaskFn& fn,
@@ -110,7 +110,7 @@ struct ChainProtocol {
 
 /// Declarative trajectory job: which model family it runs, how to build
 /// each task's trajectory, and which of the two measurement protocols
-/// (src/model drivers) to drive it with.
+/// to walk it through (model::walk).
 struct ChainJob {
   /// Registry tag of the model family every task runs ("separation",
   /// "alignment", …). Rides the wire (JobSpec::model) and the snapshot
@@ -120,7 +120,8 @@ struct ChainJob {
 
   /// Builds the trajectory for one task (typically from t.lambda,
   /// t.gamma, t.seed — or via model::build_from_spec for registry-built
-  /// jobs). Called on the worker; must not touch shared mutable state.
+  /// jobs), at step 0: the protocol's targets are absolute. Called on
+  /// the worker; must not touch shared mutable state.
   std::function<std::unique_ptr<model::ChainModel>(const Task&)> make_model;
 
   /// Checkpoint mode (used when non-empty): run to each absolute
@@ -148,12 +149,12 @@ struct ChainJob {
   /// write only to slots keyed by Task::index.
   std::function<void(const Task&, const model::ChainModel&)> on_sample;
 
-  /// Across-replica banding (core::ReplicaBand): when ≥ 2, replicas of
-  /// the same grid cell are grouped into lock-step bands of up to this
-  /// many lanes (clamped to ReplicaBand::kMaxWidth = 8) and one band is
-  /// one pool task. Ragged tails, non-bandable models (band_chain() ==
-  /// nullptr), and lanes whose parameters disagree fall back to each
-  /// replica running alone inside the same grouping. Purely an
+  /// Across-replica banding (core::ReplicaBand): when ≥ 2, consecutive
+  /// replicas of the same grid cell are grouped into lock-step bands of
+  /// up to this many lanes (clamped to ReplicaBand::kMaxWidth = 8) and
+  /// one band is one pool task. Ragged tails, non-bandable models
+  /// (band_chain() == nullptr), and lanes whose parameters disagree fall
+  /// back to each replica running alone inside the same grouping. Purely an
   /// execution strategy: the band's byte-identity contract makes every
   /// series, aggregate, and wire byte identical to the 0/1 setting,
   /// where each replica runs alone (a separation chain as a width-1
@@ -164,13 +165,22 @@ struct ChainJob {
 };
 
 /// The protocol `job` prescribes for `task`: the per-task override when
-/// set, the fixed fields otherwise. Exposed so the checkpointed runner
-/// (src/checkpoint) drives exactly the protocol make_task_fn would.
+/// set, the fixed fields otherwise.
 [[nodiscard]] ChainProtocol resolve_protocol(const ChainJob& job,
                                              const Task& task);
 
-/// The TaskFn a ChainJob describes: build the model, drive it through
-/// the checkpoint or equilibrium protocol, fire on_sample. The returned
+/// That protocol lowered to the absolute targets model::walk runs
+/// (never empty). Exposed so the checkpointed runner (src/checkpoint)
+/// walks exactly the targets make_task_fn would.
+[[nodiscard]] std::vector<model::Target> protocol_targets(const ChainJob& job,
+                                                          const Task& task);
+
+/// job.on_sample bound to `task`; empty when the job sets none.
+[[nodiscard]] std::function<void(const model::ChainModel&)> sample_hook(
+    const ChainJob& job, const Task& task);
+
+/// The TaskFn a ChainJob describes: build the model, walk it through
+/// the protocol's targets, fire on_sample at each. The returned
 /// closure captures `job` by reference — keep the job alive while it
 /// runs. Exposed so sharded harnesses can run a sub-range of tasks
 /// through the identical protocol path.
@@ -181,24 +191,5 @@ std::vector<TaskResult> run_chain_ensemble(ThreadPool& pool,
                                            std::span<const Task> tasks,
                                            const ChainJob& job,
                                            ProgressSink* sink = nullptr);
-
-/// Replica-aggregated final measurements at one grid cell.
-struct CellAggregate {
-  std::size_t lambda_index = 0;
-  std::size_t gamma_index = 0;
-  double lambda = 0.0;
-  double gamma = 0.0;
-  util::Accumulator perimeter_ratio;   ///< over each replica's final sample
-  util::Accumulator hetero_fraction;   ///< over each replica's final sample
-};
-
-/// Groups results by grid cell (order: λ-major, matching grid_tasks) and
-/// accumulates each replica's final Measurement. Accumulation order is
-/// replica order, so aggregates are bit-identical for any thread count.
-[[nodiscard]] std::vector<CellAggregate> aggregate_final(
-    const GridSpec& spec, std::span<const TaskResult> results);
-
-/// 95% normal-approximation confidence half-width of the mean.
-[[nodiscard]] double ci95_halfwidth(const util::Accumulator& acc);
 
 }  // namespace sops::engine

@@ -1,163 +1,75 @@
 #include "src/engine/thread_pool.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace sops::engine {
 
-namespace {
-
-// Index of the worker executing the current thread, or npos on external
-// threads. Lets submit() route nested submissions to the caller's own
-// deque instead of round-robining them.
-constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_worker_index = kNotAWorker;
-
-}  // namespace
-
 ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   work_ready_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target = tls_worker_index;
-  if (target == kNotAWorker) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    target = next_worker_++ % workers_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->queue.push_back(std::move(task));
-  }
-  {
-    // Taking state_mutex_ after the push orders the enqueue before any
-    // sleeping worker's re-check of the queues, so no wakeup is lost.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++pending_;
-  }
-  work_ready_.notify_one();
-}
-
-bool ThreadPool::any_queued() {
-  for (const auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    if (!w->queue.empty()) return true;
-  }
-  return false;
-}
-
-std::function<void()> ThreadPool::take_task(std::size_t self) {
-  // Own deque first, newest task first (LIFO keeps caches warm) …
-  {
-    Worker& w = *workers_[self];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (!w.queue.empty()) {
-      auto task = std::move(w.queue.back());
-      w.queue.pop_back();
-      return task;
-    }
-  }
-  // … then steal the oldest task from the next busy worker (FIFO gives
-  // the victim its own recent work back).
-  for (std::size_t k = 1; k < workers_.size(); ++k) {
-    Worker& w = *workers_[(self + k) % workers_.size()];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (!w.queue.empty()) {
-      auto task = std::move(w.queue.front());
-      w.queue.pop_front();
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker_index = self;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task = take_task(self);
-    if (task) {
-      try {
-        task();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      std::unique_lock<std::mutex> lock(state_mutex_);
-      if (--pending_ == 0) {
-        lock.unlock();
-        all_done_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    work_ready_.wait(lock, [this] { return stop_ || any_queued(); });
-    if (stop_ && !any_queued()) return;
-  }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  all_done_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
+    work_ready_.wait(lock, [this] { return stop_ || next_ < count_; });
+    if (next_ == count_) return;  // stop_, and no batch is live
+    const std::size_t i = next_++;
+    const std::function<void(std::size_t)>& fn = *fn_;
+    ++running_;
     lock.unlock();
-    std::rethrow_exception(err);
+    std::exception_ptr err;
+    try {
+      fn(i);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    lock.lock();
+    if (err) errors_.emplace_back(i, std::move(err));
+    if (--running_ == 0 && next_ == count_) caller_.notify_all();
   }
 }
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-
-  struct Join {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = count;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([join, &fn, i] {
-      std::exception_ptr err;
-      try {
-        fn(i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(join->mutex);
-      if (err) join->errors.emplace_back(i, err);
-      if (--join->remaining == 0) join->done.notify_all();
-    });
+  std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    caller_.wait(lock, [this] { return fn_ == nullptr; });
+    fn_ = &fn;
+    count_ = count;
+    next_ = 0;
+    work_ready_.notify_all();
+    caller_.wait(lock, [this] { return next_ == count_ && running_ == 0; });
+    // Take the pool's exception_ptrs so they are released on this
+    // thread, after the rethrow below, never on a worker.
+    errors.swap(errors_);
+    fn_ = nullptr;
+    count_ = next_ = 0;
   }
-
-  std::unique_lock<std::mutex> lock(join->mutex);
-  join->done.wait(lock, [&] { return join->remaining == 0; });
-  if (!join->errors.empty()) {
+  caller_.notify_all();  // the pool is free for the next caller
+  if (!errors.empty()) {
     // Deterministic propagation: the failure with the lowest index wins,
     // no matter which worker hit it first.
-    const auto lowest = std::min_element(
-        join->errors.begin(), join->errors.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::rethrow_exception(lowest->second);
+    std::rethrow_exception(
+        std::min_element(errors.begin(), errors.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         })
+            ->second);
   }
 }
 

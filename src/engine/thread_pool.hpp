@@ -1,10 +1,10 @@
-// Fixed-size worker pool with per-worker deques and work stealing.
+// Fixed-size worker pool behind one entry point, parallel_for.
 //
-// Each worker owns a deque: it pops its own tasks LIFO (cache-warm) and
-// steals FIFO from the other workers when its deque runs dry, so a long
-// task on one worker never strands queued work behind it. Submission
-// round-robins across the deques; tasks submitted from inside a worker
-// go to that worker's own deque.
+// parallel_for publishes (fn, count) and the workers claim indices from
+// one counter, in ascending order: the lowest unclaimed index is always
+// the next to start, whichever worker frees up first. Callers that
+// enumerate their work in a useful order (the ensemble's task order)
+// get exactly that start order at any worker count.
 //
 // Determinism contract: the pool schedules *when* tasks run, never what
 // they compute. Ensemble results are reproducible because every task
@@ -14,12 +14,11 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace sops::engine {
@@ -29,53 +28,41 @@ class ThreadPool {
   /// Spawns `workers` threads; 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(unsigned workers = 0);
 
-  /// Drains all outstanding tasks, then joins the workers.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(threads_.size());
   }
 
-  /// Enqueues a task. If the task throws, the first exception is held
-  /// and rethrown by the next wait_idle().
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first exception any of them raised (if any).
-  void wait_idle();
-
-  /// Runs fn(0) … fn(count−1) across the pool and blocks until all are
-  /// done. If any invocations throw, rethrows the one with the lowest
-  /// index (a deterministic choice regardless of scheduling). Must not
-  /// be called from inside a pool task.
+  /// Runs fn(0) … fn(count−1) across the pool, starting them in
+  /// ascending index order, and blocks until all are done. If any
+  /// invocations throw, rethrows the one with the lowest index (a
+  /// deterministic choice regardless of scheduling). Concurrent callers
+  /// take turns. Must not be called from inside a pool task.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> queue;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  [[nodiscard]] std::function<void()> take_task(std::size_t self);
-  [[nodiscard]] bool any_queued();
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  // state_mutex_ guards pending_/stop_/first_error_ and orders the
-  // sleep/wake handshake; worker queue mutexes are strict leaf locks.
-  std::mutex state_mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::size_t pending_ = 0;
-  std::size_t next_worker_ = 0;
+  // mutex_ guards the fields up to threads_. A batch is live while fn_
+  // is set; it is finished once every index is claimed and none is
+  // running.
+  std::mutex mutex_;
+  std::condition_variable work_ready_;  // workers: indices to claim, or stop_
+  std::condition_variable caller_;      // callers: batch finished, pool free
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t next_ = 0;
+  std::size_t running_ = 0;
+  std::vector<std::pair<std::size_t, std::exception_ptr>> errors_;
   bool stop_ = false;
-  std::exception_ptr first_error_;
+
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace sops::engine

@@ -1,5 +1,6 @@
 #include "src/model/model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sops::model {
@@ -96,38 +97,89 @@ double param_double(std::string_view field, std::string_view token) {
   return *v;
 }
 
+std::vector<Target> checkpoint_targets(
+    std::span<const std::uint64_t> checkpoints) {
+  std::vector<Target> targets;
+  targets.reserve(checkpoints.size());
+  for (const std::uint64_t at : checkpoints) targets.push_back({at, true});
+  return targets;
+}
+
+std::vector<Target> equilibrium_targets(std::uint64_t start,
+                                        std::uint64_t burn_in,
+                                        std::uint64_t interval,
+                                        std::size_t samples) {
+  if (samples == 0) return {{start + burn_in, false}};
+  std::vector<Target> targets;
+  targets.reserve(samples);
+  for (std::size_t k = 0; k < samples; ++k) {
+    targets.push_back({start + burn_in + k * interval, true});
+  }
+  return targets;
+}
+
+std::uint64_t walk_step(
+    ChainModel& model, std::span<const Target> targets, std::size_t& next,
+    std::vector<core::Measurement>& series,
+    const std::function<void(const ChainModel&)>& on_sample) {
+  const std::uint64_t now = model.steps();
+  for (; next < targets.size(); ++next) {
+    const Target& t = targets[next];
+    if (t.at > now) return t.at - now;
+    if (t.at < now) {
+      throw std::invalid_argument(
+          "protocol: measurement targets must be nondecreasing");
+    }
+    if (!t.record) continue;
+    series.push_back(model.measure());
+    if (on_sample) on_sample(model);
+  }
+  return 0;
+}
+
+std::vector<core::Measurement> walk(
+    ChainModel& model, std::span<const Target> targets,
+    const std::function<void(const ChainModel&)>& on_sample,
+    std::vector<core::Measurement> series, std::uint64_t pause_every,
+    const std::function<void(const ChainModel&,
+                             const std::vector<core::Measurement>&)>&
+        on_pause) {
+  std::size_t next = series.size();
+  while (const std::uint64_t left =
+             walk_step(model, targets, next, series, on_sample)) {
+    std::uint64_t now = model.steps();
+    const std::uint64_t target = now + left;
+    while (now < target) {
+      std::uint64_t stop = target;
+      if (pause_every != 0) {
+        stop = std::min(stop, (now / pause_every + 1) * pause_every);
+      }
+      model.run(stop - now);
+      now = stop;
+      if (now < target && on_pause) on_pause(model, series);
+    }
+  }
+  return series;
+}
+
 std::vector<core::Measurement> run_with_checkpoints(
     ChainModel& model, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const ChainModel&, std::uint64_t)>&
         on_checkpoint) {
-  std::vector<core::Measurement> out;
-  out.reserve(checkpoints.size());
-  for (const std::uint64_t target : checkpoints) {
-    const std::uint64_t now = model.steps();
-    if (target < now) {
-      throw std::invalid_argument(
-          "run_with_checkpoints: checkpoints must be nondecreasing");
-    }
-    model.run(target - now);
-    out.push_back(model.measure());
-    if (on_checkpoint) on_checkpoint(model, target);
+  std::function<void(const ChainModel&)> on_sample;
+  if (on_checkpoint) {
+    on_sample = [&](const ChainModel& m) { on_checkpoint(m, m.steps()); };
   }
-  return out;
+  return walk(model, checkpoint_targets(checkpoints), on_sample);
 }
 
 std::vector<core::Measurement> sample_equilibrium(
     ChainModel& model, std::uint64_t burn_in, std::uint64_t interval,
     std::size_t samples,
     const std::function<void(const ChainModel&)>& on_sample) {
-  model.run(burn_in);
-  std::vector<core::Measurement> out;
-  out.reserve(samples);
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (s > 0) model.run(interval);
-    out.push_back(model.measure());
-    if (on_sample) on_sample(model);
-  }
-  return out;
+  return walk(model,
+              equilibrium_targets(model.steps(), burn_in, interval, samples),
+              on_sample);
 }
 
 }  // namespace sops::model

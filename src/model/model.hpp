@@ -92,14 +92,74 @@ class ChainModel {
   }
 };
 
+// ---- Measurement protocols ---------------------------------------------
+//
+// Every protocol lowers to a list of absolute targets and one walk runs
+// that list, so the plain, banded and checkpointed engine paths and the
+// two drivers below cannot disagree about where a chain is measured.
+
+/// One point of a lowered protocol: run to absolute iteration `at`, then
+/// measure there when `record` is set. The one unrecorded target is an
+/// equilibrium protocol's bare burn-in (samples == 0).
+struct Target {
+  std::uint64_t at = 0;
+  bool record = true;
+};
+
+/// The checkpoint protocol: one recorded target per listed iteration,
+/// repeats included (each measures again without stepping).
+[[nodiscard]] std::vector<Target> checkpoint_targets(
+    std::span<const std::uint64_t> checkpoints);
+
+/// The equilibrium protocol from absolute iteration `start`: recorded
+/// targets at start + burn_in + k·interval for k < samples, or one
+/// unrecorded target at start + burn_in when samples == 0.
+[[nodiscard]] std::vector<Target> equilibrium_targets(std::uint64_t start,
+                                                      std::uint64_t burn_in,
+                                                      std::uint64_t interval,
+                                                      std::size_t samples);
+
+/// One step of the walk: measures every target from `next` on that the
+/// model has reached, appending to `series` and calling `on_sample`
+/// after each, then returns the steps left to the next target (0 once
+/// the list is done). A target behind the model throws
+/// std::invalid_argument; the model stays where it is.
+std::uint64_t walk_step(
+    ChainModel& model, std::span<const Target> targets, std::size_t& next,
+    std::vector<core::Measurement>& series,
+    const std::function<void(const ChainModel&)>& on_sample);
+
+/// Walks the model through `targets`, resuming at target series.size()
+/// (a resumed walk carries the measurements it already took), and
+/// returns the full series. With `pause_every` != 0, `on_pause` sees the
+/// model and the series at each multiple of it that falls strictly
+/// inside a segment, so never at a target. Pausing never changes the
+/// trajectory: run(a); run(b) is run(a + b).
+std::vector<core::Measurement> walk(
+    ChainModel& model, std::span<const Target> targets,
+    const std::function<void(const ChainModel&)>& on_sample = {},
+    std::vector<core::Measurement> series = {}, std::uint64_t pause_every = 0,
+    const std::function<void(const ChainModel&,
+                             const std::vector<core::Measurement>&)>&
+        on_pause = {});
+
 /// Runs the model to each absolute iteration in `checkpoints` (must be
 /// nondecreasing; a leading 0 records the initial state) and returns one
 /// Measurement per checkpoint. Repeated targets measure repeatedly;
-/// a decreasing target throws std::invalid_argument.
+/// a decreasing target throws std::invalid_argument when reached.
 std::vector<core::Measurement> run_with_checkpoints(
     ChainModel& model, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const ChainModel&, std::uint64_t)>&
         on_checkpoint = {});
+
+/// Equilibrium sampling: runs `burn_in` steps from the model's current
+/// step, then records `samples` measurements `interval` steps apart
+/// (the first at the end of the burn-in), invoking `on_sample` (if set)
+/// at each sample point.
+std::vector<core::Measurement> sample_equilibrium(
+    ChainModel& model, std::uint64_t burn_in, std::uint64_t interval,
+    std::size_t samples,
+    const std::function<void(const ChainModel&)>& on_sample = {});
 
 // ---- Pieces shared by the built-in models' state and param grammars ----
 //
@@ -136,13 +196,5 @@ void put_particles(std::vector<std::string>& out,
                                       std::string_view token);
 [[nodiscard]] double param_double(std::string_view field,
                                   std::string_view token);
-
-/// Equilibrium sampling: runs `burn_in` steps, then records `samples`
-/// measurements `interval` steps apart (the first at `burn_in` itself),
-/// invoking `on_sample` (if set) at each sample point.
-std::vector<core::Measurement> sample_equilibrium(
-    ChainModel& model, std::uint64_t burn_in, std::uint64_t interval,
-    std::size_t samples,
-    const std::function<void(const ChainModel&)>& on_sample = {});
 
 }  // namespace sops::model

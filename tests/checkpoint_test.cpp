@@ -591,6 +591,45 @@ TEST(Runner, FnTasksSkipViaCompletionSnapshotsWithAux) {
   std::filesystem::remove_all(dir);
 }
 
+// samples == 0 lowers to one unrecorded target, the bare burn-in: a
+// partial snapshot written inside it resumes to the uninterrupted
+// result, and one past it is refused.
+TEST(Runner, BareBurnInResumesMidBurnIn) {
+  Fixture fx;
+  fx.chain.samples = 0;
+  fx.job.samples = 0;
+  engine::ThreadPool pool(1);
+  const auto plain = engine::run_chain_ensemble(pool, fx.job.tasks, fx.chain);
+
+  const std::string dir = temp_dir("ckpt_burn_in");
+  const std::uint64_t hash = spec_hash(fx.job);
+  const engine::Task& t = fx.job.tasks[0];
+  const std::string path = dir + "/" + task_filename(fx.job.name, t.index);
+  const auto m = fx.chain.make_model(t);
+  m->run(250);  // inside the 600-step burn-in
+  write_snapshot(path, capture(*m, fx.job.name, hash, t, false, {}));
+
+  const Policy policy{dir, 97, true};
+  RunStats stats;
+  const auto resumed = run_tasks(pool, fx.job.tasks, fx.job, &fx.chain, {},
+                                 policy, nullptr, {}, &stats);
+  expect_same_results(plain, resumed);
+  EXPECT_EQ(stats.resumed, 1u);
+  EXPECT_EQ(stats.fresh, fx.job.tasks.size() - 1);
+
+  m->run(450);  // 700 steps: past the burn-in
+  write_snapshot(path, capture(*m, fx.job.name, hash, t, false, {}));
+  try {
+    (void)run_tasks(pool, fx.job.tasks, fx.job, &fx.chain, {}, policy);
+    FAIL() << "resumed a snapshot past the protocol's end";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("past the protocol's end 600"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Runner, CheckpointListProtocolResumes) {
   // The explicit-checkpoint protocol (absolute iteration list) must
   // resume exactly like the equilibrium one.

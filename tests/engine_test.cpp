@@ -100,8 +100,7 @@ ChainJob small_job() {
 }
 
 // Serializes every bit of ensemble output that must be reproducible.
-std::string fingerprint(const GridSpec& spec,
-                        const std::vector<TaskResult>& results) {
+std::string fingerprint(const std::vector<TaskResult>& results) {
   std::ostringstream os;
   for (const TaskResult& r : results) {
     os << r.task.index << '/' << r.task.seed << ':';
@@ -116,14 +115,6 @@ std::string fingerprint(const GridSpec& spec,
     }
     os << '\n';
   }
-  for (const CellAggregate& c : aggregate_final(spec, results)) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "agg %zu %zu %a %a %a %a\n",
-                  c.lambda_index, c.gamma_index, c.perimeter_ratio.mean(),
-                  c.perimeter_ratio.stddev(), c.hetero_fraction.mean(),
-                  ci95_halfwidth(c.hetero_fraction));
-    os << buf;
-  }
   return os.str();
 }
 
@@ -137,7 +128,7 @@ TEST(Ensemble, BitIdenticalAcrossThreadCounts) {
     ThreadPool pool(threads);
     const auto results = run_chain_ensemble(pool, tasks, job);
     ASSERT_EQ(results.size(), tasks.size());
-    const std::string fp = fingerprint(spec, results);
+    const std::string fp = fingerprint(results);
     if (reference.empty()) {
       reference = fp;
       EXPECT_FALSE(reference.empty());
@@ -152,8 +143,8 @@ TEST(Ensemble, RepeatedRunsAreIdenticalOnOnePool) {
   const auto tasks = grid_tasks(spec);
   const ChainJob job = small_job();
   ThreadPool pool(4);
-  const std::string a = fingerprint(spec, run_chain_ensemble(pool, tasks, job));
-  const std::string b = fingerprint(spec, run_chain_ensemble(pool, tasks, job));
+  const std::string a = fingerprint(run_chain_ensemble(pool, tasks, job));
+  const std::string b = fingerprint(run_chain_ensemble(pool, tasks, job));
   EXPECT_EQ(a, b);
 }
 
@@ -279,7 +270,7 @@ TEST(Ensemble, BandedExecutionIsByteIdenticalToScalar) {
   ChainJob job = small_job();
   ThreadPool pool(2);
   const std::string scalar =
-      fingerprint(spec, run_chain_ensemble(pool, tasks, job));
+      fingerprint(run_chain_ensemble(pool, tasks, job));
 
   job.replica_band = 4;
   std::vector<int> hits(tasks.size(), 0);
@@ -288,7 +279,7 @@ TEST(Ensemble, BandedExecutionIsByteIdenticalToScalar) {
     ++hits[t.index];
   };
   const std::string banded =
-      fingerprint(spec, run_chain_ensemble(pool, tasks, job));
+      fingerprint(run_chain_ensemble(pool, tasks, job));
   EXPECT_EQ(banded, scalar);
   for (const int h : hits) EXPECT_EQ(h, 3);  // one per checkpoint
 }
@@ -313,11 +304,71 @@ TEST(Ensemble, BandedPerTaskProtocolMatchesScalar) {
   };
   ThreadPool pool(2);
   const std::string scalar =
-      fingerprint(spec, run_chain_ensemble(pool, tasks, job));
+      fingerprint(run_chain_ensemble(pool, tasks, job));
   job.replica_band = 8;
   const std::string banded =
-      fingerprint(spec, run_chain_ensemble(pool, tasks, job));
+      fingerprint(run_chain_ensemble(pool, tasks, job));
   EXPECT_EQ(banded, scalar);
+}
+
+// A bare burn-in (samples == 0) is one unrecorded target: lanes that
+// only burn in share bands with lanes that sample, and every series —
+// empty or not — matches the plain path. Nine replicas per cell at band
+// width 8: one full band plus a width-1 tail.
+TEST(Ensemble, BandedBareBurnInMatchesPlain) {
+  GridSpec spec = small_spec();
+  spec.replicas = 9;
+  const auto tasks = grid_tasks(spec);
+  ChainJob job = small_job();
+  job.checkpoints.clear();
+  job.protocol = [](const Task& task) {
+    ChainProtocol p;
+    p.burn_in = 500 + 61 * task.replica;
+    p.interval = 100;
+    p.samples = task.replica % 3;  // 0: a bare burn-in
+    return p;
+  };
+  ThreadPool pool(2);
+  const std::string plain = fingerprint(run_chain_ensemble(pool, tasks, job));
+  job.replica_band = 8;
+  const std::string banded = fingerprint(run_chain_ensemble(pool, tasks, job));
+  EXPECT_EQ(banded, plain);
+}
+
+// Hand-built sweeps (bench_thm13 varies n at one cell, every task
+// replica 0) have no replica axis, so no band forms and one worker runs
+// each task to completion before building the next.
+TEST(Ensemble, BandsFormOnlyAcrossConsecutiveReplicas) {
+  std::vector<Task> tasks(4);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].index = i;
+    tasks[i].lambda = 4.0;
+    tasks[i].gamma = 4.0;
+    tasks[i].seed = 3 + i;
+  }
+  std::vector<std::string> log;
+  ChainJob job;
+  job.make_model = [&log](const Task& t) {
+    log.push_back("b" + std::to_string(t.index));
+    util::Rng rng(t.seed);
+    const std::size_t n = 10 + 5 * t.index;
+    const auto nodes = lattice::random_blob(n, rng);
+    const auto colors = core::balanced_random_colors(n, 2, rng);
+    return model::make_separation(
+        core::SeparationChain(system::ParticleSystem(nodes, colors),
+                              core::Params{t.lambda, t.gamma, true},
+                              t.seed));
+  };
+  job.on_sample = [&log](const Task& t, const model::ChainModel&) {
+    log.push_back("s" + std::to_string(t.index));
+  };
+  job.burn_in = 200;
+  job.samples = 1;
+  job.replica_band = 8;
+  ThreadPool pool(1);
+  (void)run_chain_ensemble(pool, tasks, job);
+  EXPECT_EQ(log, (std::vector<std::string>{"b0", "s0", "b1", "s1", "b2", "s2",
+                                           "b3", "s3"}));
 }
 
 TEST(Ensemble, TaskExceptionPropagatesLowestIndex) {

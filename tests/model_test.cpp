@@ -281,6 +281,36 @@ TEST(Drivers, SampleEquilibriumMatchesTheCoreLoop) {
   expect_same_trajectory(*wrapped, std::move(serial));
 }
 
+// bench_baselines' shape: a model that already ran samples at
+// equilibrium with its burn-in counted from where it stands, not from
+// step 0.
+TEST(Drivers, SampleEquilibriumCountsBurnInFromTheCurrentStep) {
+  auto wrapped = model::make_separation(make_chain(30, 19));
+  wrapped->run(3000);
+  const auto series = model::sample_equilibrium(*wrapped, 1000, 500, 3);
+  const auto tail = model::sample_equilibrium(*wrapped, 0, 700, 2);
+
+  const std::vector<std::uint64_t> at{4000, 4500, 5000, 5000, 5700};
+  core::SeparationChain serial = make_chain(30, 19);
+  const auto want = core_loop(serial, at);
+  expect_same_series(series, {want.begin(), want.begin() + 3});
+  expect_same_series(tail, {want.begin() + 3, want.end()});
+  expect_same_trajectory(*wrapped, std::move(serial));
+}
+
+// samples == 0 is a bare burn-in: the steps run, nothing is recorded.
+TEST(Drivers, SampleEquilibriumWithoutSamplesOnlyBurnsIn) {
+  auto m = model::make_separation(make_chain(20, 23));
+  std::size_t hooks = 0;
+  const auto series = model::sample_equilibrium(
+      *m, 500, 100, 0, [&](const model::ChainModel&) { ++hooks; });
+  EXPECT_TRUE(series.empty());
+  EXPECT_EQ(hooks, 0u);
+  core::SeparationChain serial = make_chain(20, 23);
+  (void)core_loop(serial, std::vector<std::uint64_t>{500});
+  expect_same_trajectory(*m, std::move(serial));
+}
+
 TEST(RunnerTest, CheckpointsLandExactly) {
   auto m = model::make_separation(make_chain(30, 3));
   const std::vector<std::uint64_t> checkpoints{0, 100, 5000, 5000, 20000};

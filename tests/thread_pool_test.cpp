@@ -15,7 +15,6 @@ namespace {
 TEST(ThreadPool, IdlePoolConstructsAndJoins) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  pool.wait_idle();  // nothing submitted: returns immediately
 }
 
 TEST(ThreadPool, ZeroRequestsHardwareConcurrency) {
@@ -23,14 +22,15 @@ TEST(ThreadPool, ZeroRequestsHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+// One worker claims every index itself, so the hand-out order is the
+// run order: ascending, each index once.
 TEST(ThreadPool, SingleWorkerRunsEverything) {
   ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.submit([&sum, i] { sum += i; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 5050);
+  std::vector<std::size_t> order;
+  pool.parallel_for(100, [&order](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> ascending(100);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(order, ascending);
 }
 
 TEST(ThreadPool, ManyMoreTasksThanWorkers) {
@@ -47,44 +47,42 @@ TEST(ThreadPool, ParallelForZeroTasksIsANoOp) {
   pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, WorkStealingDrainsBehindABlockedWorker) {
+TEST(ThreadPool, BlockedIndexDoesNotStrandTheRest) {
   ThreadPool pool(2);
-  std::atomic<int> quick_done{0};
-  std::atomic<bool> release{false};
-  // Occupy one worker with a task that finishes only after every quick
-  // task has run. The quick tasks round-robined onto the blocked
-  // worker's own deque can then only execute if the other worker steals
-  // them — if stealing is broken, the deadline trips and release stays
-  // false.
+  constexpr std::size_t kQuick = 20;
+  std::atomic<std::size_t> quick_done{0};
   std::atomic<bool> released_in_time{false};
-  pool.submit([&release, &released_in_time] {
+  // Index 0 occupies one worker until every other index has run, so
+  // they can only all finish if the other worker claims them — if it
+  // cannot, the deadline trips and released_in_time stays false.
+  pool.parallel_for(kQuick + 1, [&](std::size_t i) {
+    if (i != 0) {
+      ++quick_done;
+      return;
+    }
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+    while (quick_done.load() < kQuick &&
+           std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
-    released_in_time.store(release.load());
+    released_in_time.store(quick_done.load() == kQuick);
   });
-  constexpr int kQuick = 20;
-  for (int i = 0; i < kQuick; ++i) {
-    pool.submit([&] {
-      if (++quick_done == kQuick) release.store(true);
-    });
-  }
-  pool.wait_idle();
   EXPECT_TRUE(released_in_time.load());
   EXPECT_EQ(quick_done.load(), kQuick);
 }
 
-TEST(ThreadPool, SubmitExceptionSurfacesInWaitIdle) {
+TEST(ThreadPool, UsableAfterAThrowingParallelFor) {
   ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  pool.wait_idle();  // error consumed; pool remains usable
+  EXPECT_THROW(pool.parallel_for(
+                   4,
+                   [](std::size_t i) {
+                     if (i == 1) throw std::runtime_error("task failed");
+                   }),
+               std::runtime_error);
   std::atomic<int> ran{0};
-  pool.submit([&ran] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
+  pool.parallel_for(8, [&ran](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestIndexError) {
@@ -102,28 +100,20 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexError) {
   }
 }
 
-TEST(ThreadPool, NestedSubmitFromWorkerCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> inner_ran{0};
-  pool.submit([&] {
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&inner_ran] { ++inner_ran; });
-    }
+// Two callers share one pool: their batches take turns, and each
+// caller gets back exactly its own indices.
+TEST(ThreadPool, ConcurrentCallersTakeTurns) {
+  ThreadPool pool(3);
+  constexpr std::size_t kTasks = 500;
+  std::vector<int> a(kTasks, 0), b(kTasks, 0);
+  std::thread other([&] {
+    pool.parallel_for(kTasks, [&b](std::size_t i) { b[i] += 2; });
   });
-  pool.wait_idle();
-  EXPECT_EQ(inner_ran.load(), 8);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&ran] { ++ran; });
-    }
-    // no wait_idle: the destructor must finish the queue before joining
-  }
-  EXPECT_EQ(ran.load(), 200);
+  pool.parallel_for(kTasks, [&a](std::size_t i) { a[i] += 1; });
+  other.join();
+  EXPECT_EQ(std::accumulate(a.begin(), a.end(), 0), static_cast<int>(kTasks));
+  EXPECT_EQ(std::accumulate(b.begin(), b.end(), 0),
+            static_cast<int>(2 * kTasks));
 }
 
 }  // namespace
