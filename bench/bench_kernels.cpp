@@ -29,12 +29,14 @@ namespace {
 
 using namespace sops;
 
-core::SeparationChain make_chain(std::size_t n, std::uint64_t seed) {
+core::SeparationChain make_chain(
+    std::size_t n, std::uint64_t seed,
+    core::Params params = core::Params{4.0, 4.0, true}) {
   util::Rng rng(seed);
   const auto nodes = lattice::random_blob(n, rng);
   const auto colors = core::balanced_random_colors(n, 2, rng);
-  return core::SeparationChain(system::ParticleSystem(nodes, colors),
-                               core::Params{4.0, 4.0, true}, seed);
+  return core::SeparationChain(system::ParticleSystem(nodes, colors), params,
+                               seed);
 }
 
 // Old-vs-new step kernels. Both twins burn in 50k steps first so the
@@ -96,13 +98,13 @@ constexpr std::uint64_t kChunk = 4096;
 // checks. arena_rebuilds and tail_words surface ReplicaBand::Stats so
 // a drift-rebuild storm or Lemire-spill anomaly shows up in the
 // snapshot rather than as an unexplained slowdown.
-void BM_ReplicaBand(benchmark::State& state) {
+void replica_band_impl(benchmark::State& state, core::Params params) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto width = static_cast<std::size_t>(state.range(1));
   std::vector<core::SeparationChain> chains;
   chains.reserve(width);
   for (std::size_t r = 0; r < width; ++r) {
-    chains.push_back(make_chain(n, 42 + 1000 * r));
+    chains.push_back(make_chain(n, 42 + 1000 * r, params));
     chains.back().run(kStepBurnIn);
   }
   std::vector<core::SeparationChain*> ptrs;
@@ -139,10 +141,24 @@ void BM_ReplicaBand(benchmark::State& state) {
                       static_cast<double>(steps)
                 : 0.0);
 }
+
+// λ = γ = 4: the separated regime, where chains accept about 6% of
+// proposals.
+void BM_ReplicaBand(benchmark::State& state) {
+  replica_band_impl(state, core::Params{4.0, 4.0, true});
+}
 BENCHMARK(BM_ReplicaBand)
     ->ArgPair(400, 1)
     ->ArgPair(400, 8)
     ->ArgPair(1600, 8);
+
+// Fig. 3's λ = 4, γ = 1 cell at its n = 100: compressed and integrated,
+// accepting about 85% of proposals, so the accept path (arena and
+// position updates) dominates the single-chain walk.
+void BM_ReplicaBandGamma1(benchmark::State& state) {
+  replica_band_impl(state, core::Params{4.0, 1.0, true});
+}
+BENCHMARK(BM_ReplicaBandGamma1)->ArgPair(100, 1);
 
 void BM_PropertyCheck_Reference(benchmark::State& state) {
   core::SeparationChain chain = make_chain(100, 7);

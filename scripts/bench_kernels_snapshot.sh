@@ -51,7 +51,7 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8)|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$'
+filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8)|BM_ReplicaBandGamma1/100/1|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$'
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
 trap 'rm -f "$raw"' EXIT
 

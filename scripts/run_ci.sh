@@ -8,11 +8,14 @@
 # phase-diagram report cmp'd against the committed golden under
 # tests/golden/, and a second kill -9 + elastic-recovery cycle run
 # against bench_alignment_phase_diagram to prove the checkpoint path is
-# model-generic. An ASan+UBSan tier rebuilds the codec-facing test
-# binaries (shard, checkpoint, service, model and the util::record
-# pinned-bytes and mutation-fuzz tests) in <build-dir>-asan and runs them
-# with UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
-# behaviour on a refusal path fails CI, not only a wrong exception. A
+# model-generic. A symbol guard fails CI when the step kernel's
+# libraries call libgcc's software popcount. An ASan+UBSan tier rebuilds
+# the codec-facing test binaries (shard, checkpoint, service, model and
+# the util::record pinned-bytes and mutation-fuzz tests) and the step
+# kernel's (core) in <build-dir>-asan and runs them with
+# UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
+# behaviour on a refusal path or in the band's arena walk fails CI, not
+# only a wrong exception or trajectory. A
 # ThreadSanitizer tier rebuilds the test binaries that start threads
 # (thread pool, engine, shard, checkpoint, harness, service) in
 # <build-dir>-tsan and runs their label tiers, so a data race fails CI.
@@ -39,6 +42,19 @@ cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE="$build_type"
 
 echo "== build (-j$jobs)"
 cmake --build "$build_dir" -j "$jobs"
+
+echo "== step kernel links no software popcount (nm)"
+# The default target, baseline x86-64, has no POPCNT instruction, so
+# std::popcount there compiles to a call to libgcc's __popcountdi2. The
+# step kernel counts with a multiply fold instead
+# (src/core/neighborhood.hpp); fail if such a call creeps back in.
+undefined=$(nm -A -u "$build_dir"/src/core/libsops_core.a \
+  "$build_dir"/src/sops/libsops_system.a)
+if grep __popcount <<<"$undefined"; then
+  echo "FAIL: libsops_core/libsops_system call libgcc's popcount (above)" >&2
+  exit 1
+fi
+echo "ok: no __popcount symbol in libsops_core.a or libsops_system.a"
 
 echo "== ctest"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
@@ -80,15 +96,19 @@ scripts/check_checkpoint_kill9.sh "$build_dir" bench_thm13_compression
 echo "== checkpoint kill -9 + elastic recovery (bench_alignment_phase_diagram)"
 scripts/check_checkpoint_kill9.sh "$build_dir" bench_alignment_phase_diagram
 
-echo "== ASan+UBSan tier (shard|checkpoint|service|model|record under ${build_dir}-asan)"
+echo "== ASan+UBSan tier (shard|checkpoint|service|model|record|core under ${build_dir}-asan)"
 cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${build_dir}-asan" -j "$jobs" --target shard_test \
   checkpoint_test service_test model_test alignment_test record_test \
-  record_fuzz_test codec_golden_test
+  record_fuzz_test codec_golden_test locality_test markov_chain_test \
+  chain_param_test neighborhood_test replica_band_test particle_system_test
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
-  -L 'shard|checkpoint|service|model|record'
+  -L 'shard|checkpoint|service|model|record|core'
+# The band's scalar walks too: with SIMD off every lane runs them.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 SOPS_FORCE_SCALAR=1 \
+  "${build_dir}-asan"/tests/replica_band_test --gtest_brief=1
 
 echo "== TSan tier (engine|shard|checkpoint|harness|service under ${build_dir}-tsan)"
 # No core test or src/core file starts a thread, so the core tier stays

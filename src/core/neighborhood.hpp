@@ -10,14 +10,16 @@
 // (ParticleSystem::gather_neighborhood) and answers every query from
 // two registers:
 //
-//  - a 10-bit occupancy mask (`occ`): every e-style count is a popcount
-//    against a fixed node-subset mask;
 //  - 4-bit per-node color nibbles (`color_nibbles`, 0xF where empty):
-//    every e_i-style count is a SWAR nibble match followed by a
-//    popcount against the nibble-expanded subset mask;
-//  - Properties 4 and 5 depend only on the 8-bit ring mask, so the
-//    8-cycle run-structure analysis is precomputed into 256-entry
-//    lookup tables at compile time.
+//    every count is a nibble test that leaves bit 4i set per counted
+//    node (occupied for the e-style counts, a SWAR color match for the
+//    e_i-style ones), masked by a nibble-expanded node subset and
+//    summed by one multiply (count_nibble_bits) — no POPCNT
+//    instruction, which the baseline x86-64 target lacks, and no
+//    libgcc call in its place;
+//  - a 10-bit occupancy mask (`occ`): Properties 4 and 5 depend only
+//    on its 8-bit ring part, so the 8-cycle run-structure analysis is
+//    precomputed into 256-entry lookup tables at compile time.
 //
 // The node layout (bit i / nibble i) is defined by
 // system::NeighborhoodGather: ring indices 0..7 in lattice::EdgeRing
@@ -29,7 +31,6 @@
 // final positions over 10^6 steps (tests/neighborhood_test.cpp).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -62,9 +63,20 @@ inline constexpr std::uint64_t kNbrOfLNoLpX = expand_nodes(kNbrOfLNoLp);
 inline constexpr std::uint64_t kNbrOfLpX = expand_nodes(kNbrOfLp);
 inline constexpr std::uint64_t kNbrOfLpNoLX = expand_nodes(kNbrOfLpNoL);
 
-/// Bit 4i of each of the ten nibbles; both the SWAR match target and
-/// the replication pattern for broadcasting a color to all nibbles.
+/// Bit 4i of each of the ten nibbles; the SWAR match target, the
+/// replication pattern for broadcasting a color to all nibbles, and the
+/// multiplier of count_nibble_bits.
 inline constexpr std::uint64_t kNibbleOnes = 0x1111111111ULL;
+
+/// Popcount of a word whose set bits all sit at nibble bases 4i, i < 10
+/// (a nibble-expanded node set). Multiplying by kNibbleOnes adds nibble
+/// i into nibble i + j for every j < 10, so nibble 9 collects all ten;
+/// no nibble sum exceeds 10, so nothing carries into it. Equals
+/// std::popcount on every such word (tests/neighborhood_test.cpp), in
+/// three integer ops on any x86-64.
+[[nodiscard]] constexpr int count_nibble_bits(std::uint64_t v) noexcept {
+  return static_cast<int>(((v * kNibbleOnes) >> 36) & 0xFu);
+}
 
 namespace detail {
 
@@ -178,31 +190,46 @@ struct NeighborhoodView : system::NeighborhoodGather {
     return static_cast<std::uint8_t>(occ & kRingNodes);
   }
 
-  /// Occupied nodes within a 10-bit node subset.
-  [[nodiscard]] int count(std::uint16_t node_mask) const noexcept {
-    return std::popcount(static_cast<unsigned>(occ & node_mask));
+  /// Bit 4i set iff node i is occupied: colors are below 8 and empty
+  /// nodes hold 0xF, so nibble bit 3 is clear exactly on occupied nodes.
+  [[nodiscard]] std::uint64_t occupied_nibbles() const noexcept {
+    return (~color_nibbles >> 3) & kNibbleOnes;
   }
 
-  /// Occupied nodes of color `c` within a nibble-expanded node subset.
-  /// SWAR: broadcast c to all nibbles, XOR (matching nibbles become 0),
-  /// OR-fold each nibble into its bit 4i, invert, popcount. Empty nodes
-  /// hold 0xF and can never match a real color.
-  [[nodiscard]] int count_color(system::Color c,
-                                std::uint64_t expanded_mask) const noexcept {
+  /// Bit 4i set iff node i holds color `c`. SWAR: broadcast c to all
+  /// nibbles, XOR (matching nibbles become 0), OR-fold each nibble into
+  /// its bit 4i, invert. Empty nodes hold 0xF and can never match a
+  /// real color.
+  [[nodiscard]] std::uint64_t color_matches(system::Color c) const noexcept {
     const std::uint64_t x = color_nibbles ^ (kNibbleOnes * c);
     std::uint64_t y = x | (x >> 2);
     y |= y >> 1;
-    return std::popcount(~y & kNibbleOnes & expanded_mask);
+    return ~y & kNibbleOnes;
+  }
+
+  /// Occupied nodes within a 10-bit node subset.
+  [[nodiscard]] int count(std::uint16_t node_mask) const noexcept {
+    return count_nibble_bits(occupied_nibbles() & expand_nodes(node_mask));
+  }
+
+  /// Occupied nodes of color `c` within a nibble-expanded node subset.
+  [[nodiscard]] int count_color(system::Color c,
+                                std::uint64_t expanded_mask) const noexcept {
+    return count_nibble_bits(color_matches(c) & expanded_mask);
   }
 
   // Move quantities (l' empty): e and e_i count P's neighbors at l;
   // e' and e'_i count the neighbors P would have at l', excluding P
   // itself. Identical index sets to the reference neighbor_count calls.
-  [[nodiscard]] int e() const noexcept { return count(kNbrOfL); }
+  [[nodiscard]] int e() const noexcept {
+    return count_nibble_bits(occupied_nibbles() & kNbrOfLX);
+  }
   [[nodiscard]] int e_i(system::Color c) const noexcept {
     return count_color(c, kNbrOfLX);
   }
-  [[nodiscard]] int e_prime() const noexcept { return count(kNbrOfLpNoL); }
+  [[nodiscard]] int e_prime() const noexcept {
+    return count_nibble_bits(occupied_nibbles() & kNbrOfLpNoLX);
+  }
   [[nodiscard]] int e_prime_i(system::Color c) const noexcept {
     return count_color(c, kNbrOfLpNoLX);
   }

@@ -465,6 +465,16 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   if (quotas.size() != width()) {
     throw std::invalid_argument("ReplicaBand: quota count != width");
   }
+  // A valid arena is each lane's occupancy while the band runs (see the
+  // header): sync every lane's FlatMap on any exit, an exception
+  // included.
+  struct SyncOnExit {
+    std::span<SeparationChain* const> lanes;
+    ~SyncOnExit() {
+      for (SeparationChain* c : lanes) c->sys_.sync_index();
+    }
+  } const sync_on_exit{chains_};
+
   // The arena and SoA are derived state. They survive across run()
   // calls as long as no bound chain advanced outside the band: the
   // step counters are monotone, so comparing them against the counts
@@ -654,12 +664,12 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
   const std::size_t W = width();
   std::uint32_t* cells = cells_.data();
   std::size_t stop = to;
+  if constexpr (!kArena) sys.sync_index();
 
   for (std::size_t t = from; t < to; ++t) {
     const auto pi = static_cast<ParticleIndex>(pi_[t * W + r]);
     const int dir = static_cast<int>(dir_[t * W + r]);
     const double q = util::decode_uniform_open(q_[t * W + r]);
-    const Node l = sys.position(pi);
     std::size_t soa = 0;
     std::uint32_t pc = 0;
     std::int64_t base = 0;
@@ -688,12 +698,12 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
       nb.p_at_l = pi;
       nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kIndexMask) - 1;
     } else {
-      nb = NeighborhoodView::gather(sys, l, dir, pi);
+      nb = NeighborhoodView::gather(sys, sys.position(pi), dir, pi);
     }
 
     if (!nb.lp_occupied()) {
       ++c.move_proposals;
-      const Color ci = sys.color(pi);
+      const Color ci = nb.color_at(NeighborhoodView::kNodeL);
       const int e = nb.e();
       if (e == 5) {
         ++c.rejected_five;
@@ -710,10 +720,12 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
         ++c.rejected_metropolis;
         continue;
       }
-      const Node dst = lattice::neighbor(l, dir);
-      sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
+      const Node dst = lattice::neighbor(sys.position(pi), dir);
       ++c.moves_accepted;
-      if constexpr (kArena) {
+      if constexpr (!kArena) {
+        sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
+      } else {
+        sys.move_unindexed(pi, dst, ep - e, (ep - epi) - (e - ei));
         cells[lp_cell] = cells[base];
         cells[base] = 0;
         pcell_[soa] = static_cast<std::int32_t>(
@@ -738,9 +750,11 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
     const int sx = nb.swap_exponent();
     if (q >= pow_g[sx]) continue;
     const ParticleIndex qj = nb.p_at_lp;
-    sys.apply_swap_unchecked(pi, qj, -sx);
     ++c.swaps_accepted;
-    if constexpr (kArena) {
+    if constexpr (!kArena) {
+      sys.apply_swap_unchecked(pi, qj, -sx);
+    } else {
+      sys.swap_unindexed(pi, qj, -sx);
       const std::uint32_t a = cells[base];
       const std::uint32_t b = cells[lp_cell];
       const std::uint32_t mask =
@@ -766,12 +780,13 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
 bool ReplicaBand::apply_group(int mm_macc, int mm_sacc, const Spill& sp) {
   const std::size_t W = width();
 
-  // Apply accepted lanes scalar through the same unchecked mutators
-  // execute_lane uses. Arena addresses are re-read from the live packed
-  // SoA (an earlier lane's drift rebuild may have re-centered the planes);
-  // a declined rebuild finishes the tick's remaining applies without
-  // the arena — the decisions are already made — and the caller hands
-  // the rest of the block to the scalar FlatMap sweep.
+  // Apply accepted lanes scalar through the same index-free mutators
+  // the arena walk uses: the decisions are already made, so no apply
+  // reads the FlatMap. Arena addresses are re-read from the live packed
+  // SoA (an earlier lane's drift rebuild may have re-centered the
+  // planes); a declined rebuild finishes the tick's remaining applies
+  // without the arena, and the caller hands the rest of the block to
+  // the scalar FlatMap sweep, which syncs each lane's map first.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
     const auto r = static_cast<std::size_t>(j);
@@ -779,7 +794,7 @@ bool ReplicaBand::apply_group(int mm_macc, int mm_sacc, const Spill& sp) {
     const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
     const Node l = sys.position(pi);
     const Node dst = lattice::neighbor(l, static_cast<int>(sp.dir[j]));
-    sys.apply_move_unchecked(pi, dst, sp.de[j], sp.dh[j]);
+    sys.move_unindexed(pi, dst, sp.de[j], sp.dh[j]);
     if (!arena_ok_) continue;
     std::uint32_t* const cl = cells_.data();
     const std::size_t soa = static_cast<std::size_t>(sp.pi[j]) * W + r;
@@ -807,10 +822,10 @@ bool ReplicaBand::apply_group(int mm_macc, int mm_sacc, const Spill& sp) {
                         static_cast<std::uint32_t>(sp.lpc[j]) &
                         cell::kIndexMask) -
                     1;
-    sys.apply_swap_unchecked(pi, qj, -sp.sx[j]);
+    sys.swap_unindexed(pi, qj, -sp.sx[j]);
     if (!arena_ok_) continue;
     // The mirror exchange masks to a no-op for same-color swaps,
-    // matching apply_swap_unchecked leaving the positions untouched.
+    // matching swap_unindexed leaving the positions untouched.
     std::uint32_t* const cl = cells_.data();
     const std::size_t si = static_cast<std::size_t>(sp.pi[j]) * W + r;
     const std::size_t sj = static_cast<std::size_t>(qj) * W + r;

@@ -38,9 +38,19 @@
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the band, so ragged quotas stay
 //    vectorized. Accepted lanes (typically a small minority) apply
-//    scalar through the same *_unchecked mutators the scalar lanes use.
+//    scalar through the same index-free mutators the scalar arena walk
+//    uses.
 //
 // Arena cells are the 32-bit encoding of cell_codec.hpp.
+//
+// While run() executes, a valid arena is each lane's occupancy. The
+// arena walk and the SIMD path's applies move particles through
+// ParticleSystem's index-free mutators, which update positions, e(σ)
+// and h(σ) but leave the FlatMap stale; no FlatMap insert or erase runs
+// while the band holds its arena. The FlatMap walk syncs its lane's map
+// before its first read, and run() syncs every lane on exit (an
+// exception included), so every reader outside run() — step(),
+// measurement, save_state(), the invariant checks — sees a current map.
 //
 // Dispatch is runtime: the SIMD path engages only for a full 8-lane
 // band, when the CPU reports AVX2, `SOPS_FORCE_SCALAR` is not set, and
@@ -169,10 +179,10 @@ class ReplicaBand {
   /// post-call RNG states are identical to the AVX2 body's.
   void decode_group_simd512(std::size_t ticks);
   /// Executes decoded ticks [from, to) of lane `r` on the scalar path,
-  /// over the arena when kArena, else through the FlatMap gather.
-  /// Returns `to` normally, or the resume tick when the arena was
-  /// declined mid-walk (arena path only); the caller re-enters with
-  /// kArena = false.
+  /// over the arena when kArena (index-free applies), else through the
+  /// FlatMap gather after syncing the lane's map. Returns `to`
+  /// normally, or the resume tick when the arena was declined mid-walk
+  /// (arena path only); the caller re-enters with kArena = false.
   template <bool kArena>
   std::size_t execute_lane(std::size_t r, std::size_t from, std::size_t to);
   /// Executes ticks [0, max over the lanes of active[j]) for the full
@@ -181,7 +191,7 @@ class ReplicaBand {
   /// (the max normally; early when a drift rebuild declined the arena).
   std::size_t execute_group_simd(const std::size_t* active);
   /// Applies the accepted moves/swaps of one tick (mask bits of
-  /// mm_macc / mm_sacc) scalar through the *_unchecked mutators,
+  /// mm_macc / mm_sacc) scalar through the index-free mutators,
   /// mirroring each into the arena. Returns false when a drift rebuild
   /// declined the arena (caller stops the SIMD walk after this tick).
   bool apply_group(int mm_macc, int mm_sacc, const Spill& sp);

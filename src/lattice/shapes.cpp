@@ -10,11 +10,6 @@ namespace sops::lattice {
 
 namespace {
 
-/// Hex distance from the origin.
-[[nodiscard]] std::int64_t ring_radius(Node v) noexcept {
-  return distance(Node{0, 0}, v);
-}
-
 /// The ring of nodes at hex distance `r` from the origin, in cyclic order
 /// starting at (r, 0) and proceeding counterclockwise.
 [[nodiscard]] std::vector<Node> ring(std::int32_t r) {

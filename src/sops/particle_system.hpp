@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/lattice/triangular.hpp"
@@ -145,9 +146,9 @@ class ParticleSystem {
 
   /// apply_move with deltas, minus the adjacency/occupancy precondition
   /// probes. For callers whose gather already certified the target empty
-  /// and adjacent (the replica band reads the proposal edge through its
-  /// dense occupancy arena); produces the identical state as the checked
-  /// overload when the preconditions hold.
+  /// and adjacent (the replica band's FlatMap walk); produces the
+  /// identical state as the checked overload when the preconditions
+  /// hold.
   void apply_move_unchecked(ParticleIndex i, lattice::Node to,
                             std::int64_t edge_delta,
                             std::int64_t hetero_delta);
@@ -162,6 +163,38 @@ class ParticleSystem {
   /// configuration no-op (delta ignored), matching the checked overload.
   void apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
                             std::int64_t hetero_delta);
+
+  /// Index-free twins of the two unchecked mutators, for a caller that
+  /// keeps its own occupancy while it runs (the replica band's arena):
+  /// they update positions, e(σ) and h(σ) but not the occupancy index,
+  /// which they mark stale. Until sync_index() runs, nothing may read
+  /// the index: occupied, particle_at, the neighbor counts,
+  /// gather_neighborhood, recount_edges and the other mutators.
+  void move_unindexed(ParticleIndex i, lattice::Node to,
+                      std::int64_t edge_delta,
+                      std::int64_t hetero_delta) noexcept {
+    mark_index_stale();
+    positions_[static_cast<std::size_t>(i)] = to;
+    edges_ += edge_delta;
+    hetero_edges_ += hetero_delta;
+  }
+  void swap_unindexed(ParticleIndex i, ParticleIndex j,
+                      std::int64_t hetero_delta) noexcept {
+    const auto a = static_cast<std::size_t>(i);
+    const auto b = static_cast<std::size_t>(j);
+    if (colors_[a] == colors_[b]) return;  // configuration unchanged
+    mark_index_stale();
+    std::swap(positions_[a], positions_[b]);
+    hetero_edges_ += hetero_delta;
+  }
+
+  /// Brings the occupancy index up to date after index-free mutations:
+  /// erases the stale node of every particle whose position changed,
+  /// then inserts its current one, at unchanged capacity. Costs one
+  /// sequential pass over the positions plus two table operations per
+  /// displaced particle, however often it moved. A no-op when the
+  /// index is current.
+  void sync_index() noexcept;
 
   /// Recolors particle `i` in place (spin/orientation flip for chains
   /// whose colors are mutable internal state rather than immutable
@@ -204,12 +237,24 @@ class ParticleSystem {
                                                   std::int64_t* hetero) const
       noexcept;
 
+  // The first index-free mutation after a sync records the positions
+  // the index holds; indexed_positions_ is sized n at construction, so
+  // the copy never allocates.
+  void mark_index_stale() noexcept {
+    if (index_stale_) return;
+    indexed_positions_ = positions_;
+    index_stale_ = true;
+  }
+
   std::vector<lattice::Node> positions_;
   std::vector<Color> colors_;
   util::FlatMap<ParticleIndex> occupancy_;
   std::int64_t edges_ = 0;
   std::int64_t hetero_edges_ = 0;
   int num_colors_ = 1;
+  // While index_stale_: the positions the occupancy index still holds.
+  std::vector<lattice::Node> indexed_positions_;
+  bool index_stale_ = false;
 };
 
 }  // namespace sops::system

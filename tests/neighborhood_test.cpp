@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -66,6 +67,12 @@ Color pattern_color(int pattern, unsigned mask, int node) {
 TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
   const Node l{0, 0};
   const Params params{1.75, 3.5, true};
+  // The multiply-fold count against std::popcount on every node set.
+  for (unsigned m = 0; m < 1024; ++m) {
+    ASSERT_EQ(count_nibble_bits(expand_nodes(static_cast<std::uint16_t>(m))),
+              std::popcount(m))
+        << "mask " << m;
+  }
   for (int dir = 0; dir < lattice::kDegree; ++dir) {
     const lattice::EdgeRing ring = lattice::EdgeRing::around(l, dir);
     const Node lp = lattice::neighbor(l, dir);
@@ -105,6 +112,16 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
         }
         EXPECT_EQ(nb.p_at_l, sys.particle_at(l));
         EXPECT_EQ(nb.p_at_lp, sys.particle_at(lp));
+
+        // The nibble words the counts fold, and the fold itself.
+        EXPECT_EQ(nb.occupied_nibbles(), expand_nodes(nb.occ));
+        EXPECT_EQ(count_nibble_bits(nb.occupied_nibbles()),
+                  std::popcount(static_cast<unsigned>(nb.occ)));
+        for (Color c = 0; c < 5; ++c) {
+          EXPECT_EQ(count_nibble_bits(nb.color_matches(c)),
+                    std::popcount(nb.color_matches(c)))
+              << int(c);
+        }
 
         // Counts against the per-call reference walks, for every color.
         EXPECT_EQ(nb.e(), sys.neighbor_count(l));

@@ -1,9 +1,10 @@
 // Band-equivalence suite: a band of replicas advanced lock-step by
 // ReplicaBand must leave every lane byte-identical to a twin advanced
 // by the same number of serial step() calls — same positions, colors,
-// edge counts, all eight counters, and post-run RNG state — at every
-// width, on every execution path (SIMD groups, scalar-over-arena,
-// FlatMap fallback), through ragged per-lane quotas, and across arena
+// edge counts, all eight counters, post-run RNG state, and an
+// occupancy index in sync with the positions — at every width, on
+// every execution path (SIMD groups, scalar-over-arena, FlatMap
+// fallback), through ragged per-lane quotas, and across arena
 // re-centers. This is the contract that lets SeparationChain::run and
 // the separation model run every single chain as a width-1 band (the
 // StepPipeline cases at the end), and the ensemble group sweep
@@ -54,8 +55,31 @@ std::vector<SeparationChain*> pointers(std::vector<SeparationChain>& chains) {
   return p;
 }
 
+// While a band holds its arena it moves particles without touching the
+// FlatMap occupancy index and syncs the index when run() exits. So the
+// index a chain is left with must equal the one a ParticleSystem
+// rebuilt from its positions and colors holds, at every particle's
+// node and at its six neighbours, with unchanged capacity.
+void expect_index_matches_positions(const SeparationChain& chain,
+                                    const std::string& what) {
+  const ParticleSystem& sys = chain.system();
+  const ParticleSystem clean(sys.positions(), sys.colors());
+  std::size_t mismatches = 0;
+  for (const lattice::Node v : sys.positions()) {
+    mismatches += sys.particle_at(v) != clean.particle_at(v);
+    for (int d = 0; d < lattice::kDegree; ++d) {
+      const lattice::Node u = lattice::neighbor(v, d);
+      mismatches += sys.particle_at(u) != clean.particle_at(u);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": occupancy index is stale";
+  EXPECT_EQ(sys.occupancy_capacity(), clean.occupancy_capacity()) << what;
+}
+
 void expect_same_state(const SeparationChain& a, const SeparationChain& b,
                        const std::string& what) {
+  expect_index_matches_positions(a, what);
+  expect_index_matches_positions(b, what);
   EXPECT_EQ(a.system().positions(), b.system().positions()) << what;
   EXPECT_EQ(a.system().colors(), b.system().colors()) << what;
   EXPECT_EQ(a.system().edge_count(), b.system().edge_count()) << what;
