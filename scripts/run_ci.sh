@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Single-command CI: configure, build, run the full test suite, then
+# Single-command CI: configure, build with warnings as errors
+# (SOPS_WERROR=ON, so a new warning fails CI), run the full test suite, then
 # smoke-check the sharded-harness round-trip (worker → merge →
 # byte-identical report) for two grid harnesses — one chain-backed
 # (bench_thm13_compression) and one exact/aux-backed (bench_mixing_gap,
@@ -37,8 +38,8 @@ build_dir=${1:-build}
 build_type=${CMAKE_BUILD_TYPE:-Release}
 jobs=${JOBS:-$(nproc)}
 
-echo "== configure ($build_dir, $build_type)"
-cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE="$build_type"
+echo "== configure ($build_dir, $build_type, -Werror)"
+cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE="$build_type" -DSOPS_WERROR=ON
 
 echo "== build (-j$jobs)"
 cmake --build "$build_dir" -j "$jobs"

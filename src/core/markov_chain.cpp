@@ -13,20 +13,6 @@ using system::Color;
 using system::ParticleIndex;
 using system::ParticleSystem;
 
-double move_weight(const ParticleSystem& sys, const Params& p, Node l,
-                   int dir) {
-  const NeighborhoodView nb = NeighborhoodView::gather(sys, l, dir);
-  if (nb.lp_occupied()) {
-    throw std::invalid_argument("move_weight: target occupied");
-  }
-  if (!nb.l_occupied()) {
-    throw std::invalid_argument("move_weight: no particle at l");
-  }
-  const Color ci = nb.color_at(NeighborhoodView::kNodeL);
-  return std::pow(p.lambda, nb.e_prime() - nb.e()) *
-         std::pow(p.gamma, nb.e_prime_i(ci) - nb.e_i(ci));
-}
-
 double move_weight_reference(const ParticleSystem& sys, const Params& p,
                              Node l, int dir) {
   const Node lp = lattice::neighbor(l, dir);
@@ -46,15 +32,6 @@ double move_weight_reference(const ParticleSystem& sys, const Params& p,
   const int ep = sys.neighbor_count(lp, /*exclude=*/l);
   const int epi = sys.neighbor_count_color(lp, ci, /*exclude=*/l);
   return std::pow(p.lambda, ep - e) * std::pow(p.gamma, epi - ei);
-}
-
-double swap_weight(const ParticleSystem& sys, const Params& p, Node l,
-                   int dir) {
-  const NeighborhoodView nb = NeighborhoodView::gather(sys, l, dir);
-  if (!nb.l_occupied() || !nb.lp_occupied()) {
-    throw std::invalid_argument("swap_weight: both nodes must be occupied");
-  }
-  return std::pow(p.gamma, nb.swap_exponent());
 }
 
 double swap_weight_reference(const ParticleSystem& sys, const Params& p,
@@ -96,7 +73,10 @@ bool SeparationChain::step() {
   const auto pi = static_cast<ParticleIndex>(rng_.below(sys_.size()));
   const int dir = static_cast<int>(rng_.below(6));
   const double q = rng_.uniform_open();
+  return advance(pi, dir, q);
+}
 
+bool SeparationChain::advance(ParticleIndex pi, int dir, double q) {
   const Node l = sys_.position(pi);
   const NeighborhoodView nb = NeighborhoodView::gather(sys_, l, dir, pi);
 

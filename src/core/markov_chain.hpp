@@ -30,20 +30,18 @@ struct Params {
 };
 
 /// The weight λ^(e'−e) · γ^(e'_i−e_i) for the non-swap move of the
-/// particle at `l` toward direction `dir` (target must be empty). Exposed
-/// so tests can verify detailed balance against Lemma 9 directly.
-/// Computed on the single-gather step kernel (neighborhood.hpp); the
-/// `_reference` twin recounts per call and must agree bit-for-bit.
-[[nodiscard]] double move_weight(const system::ParticleSystem& sys,
-                                 const Params& p, lattice::Node l, int dir);
+/// particle at `l` toward direction `dir` (target must be empty; throws
+/// std::invalid_argument otherwise). Exposed so tests can verify
+/// detailed balance against Lemma 9 directly, and so the exact
+/// transition matrix (src/exact/chain_matrix.hpp) is built from per-call
+/// neighbor recounts independent of the step kernel.
 [[nodiscard]] double move_weight_reference(const system::ParticleSystem& sys,
                                            const Params& p, lattice::Node l,
                                            int dir);
 
 /// The weight γ^(...) for the swap of the particles at `l` and
-/// `l + dir` (target must be occupied).
-[[nodiscard]] double swap_weight(const system::ParticleSystem& sys,
-                                 const Params& p, lattice::Node l, int dir);
+/// `l + dir` (both must be occupied; throws std::invalid_argument
+/// otherwise).
 [[nodiscard]] double swap_weight_reference(const system::ParticleSystem& sys,
                                            const Params& p, lattice::Node l,
                                            int dir);
@@ -73,7 +71,8 @@ class SeparationChain {
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
   /// One iteration of M. Returns true iff the configuration changed.
-  /// Implemented on the single-gather step kernel: one 10-node read of
+  /// Draws the proposal (particle, direction, Metropolis uniform), then
+  /// executes it on the single-gather step kernel: one 10-node read of
   /// the proposal neighborhood, then popcounts/LUTs. Consumes exactly
   /// the same RNG draws in the same order as step_reference(), and the
   /// two paths make identical accept/reject decisions (asserted over
@@ -114,9 +113,16 @@ class SeparationChain {
  private:
   // The replica band (replica_band.hpp) is the run loop, for one chain
   // or a lock-step group of siblings: it reads rng_/sys_/params_ and
-  // the Metropolis pow tables, and flushes block-local counters into
-  // counters_. step() stays the single-step reference twin.
+  // the Metropolis pow tables, flushes block-local counters into
+  // counters_, and runs every tick its arena cannot serve through
+  // advance(). step() stays the single-step reference twin.
   friend class ReplicaBand;
+
+  /// step() after its three draws: executes one decoded proposal on the
+  /// FlatMap occupancy index, which must be current. Counts into
+  /// counters_ every field but steps, which the caller owns.
+  bool advance(system::ParticleIndex pi, int dir, double q);
+
   [[nodiscard]] double pow_lambda(int k) const noexcept {
     return pow_lambda_[static_cast<std::size_t>(k + kMaxExp)];
   }

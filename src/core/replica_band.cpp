@@ -35,17 +35,6 @@ namespace {
 #endif
 }
 
-// AVX-512 Foundation gates the 8-lane-wide decode kernel (zmm
-// xoshiro states, vprolq, vpmovqd). Integer-exact, so engaging it never
-// changes any byte — only how fast the words are produced.
-[[nodiscard]] bool cpu_has_avx512f() noexcept {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
 // Properties 4/5 move-locality as eight 32-bit words: the whole
 // 256-entry ring LUT fits in one ymm register, so the lookup is a
 // vpermd word select plus a variable shift instead of a gather.
@@ -114,39 +103,6 @@ __attribute__((target("avx2"))) inline __m256i lemire4(__m256i x, __m256i vb,
   rej = _mm256_or_si256(
       rej, _mm256_and_si256(fits, _mm256_cmpgt_epi64(vthr, low)));
   return _mm256_srli_epi64(sum, 32);
-}
-
-// xoshiro256++ for all eight lanes at once on zmm registers: the same
-// op-for-op scalar recurrence as xo_next4, with the rotates native
-// (vprolq) instead of shift/shift/or.
-__attribute__((target("avx512f"))) inline __m512i xo_next8(
-    __m512i& s0, __m512i& s1, __m512i& s2, __m512i& s3) noexcept {
-  const __m512i r =
-      _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
-  const __m512i t = _mm512_slli_epi64(s1, 17);
-  s2 = _mm512_xor_si512(s2, s0);
-  s3 = _mm512_xor_si512(s3, s1);
-  s1 = _mm512_xor_si512(s1, s2);
-  s0 = _mm512_xor_si512(s0, s3);
-  s2 = _mm512_xor_si512(s2, t);
-  s3 = _mm512_rol_epi64(s3, 45);
-  return r;
-}
-
-// Lemire multiply-shift for eight lanes. The unsigned mask compare
-// subsumes the AVX2 path's explicit range check: the rejection branch
-// needs low < threshold, and threshold < b <= 2^24 makes any low with
-// upper bits set compare false on its own.
-__attribute__((target("avx512f"))) inline __m512i lemire8(
-    __m512i x, __m512i vb, __m512i vthr, __mmask8& rej) noexcept {
-  const __m512i t2 = _mm512_mul_epu32(x, vb);
-  const __m512i t1 = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), vb);
-  const __m512i sum = _mm512_add_epi64(t1, _mm512_srli_epi64(t2, 32));
-  const __m512i low = _mm512_or_si512(
-      _mm512_slli_epi64(sum, 32),
-      _mm512_and_si512(t2, _mm512_set1_epi64(0xffffffffLL)));
-  rej = static_cast<__mmask8>(rej | _mm512_cmplt_epu64_mask(low, vthr));
-  return _mm512_srli_epi64(sum, 32);
 }
 
 // Narrows two 4x64 registers (values < 2^31) into one 8x32 store.
@@ -409,7 +365,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
     }
   }
   simd_ = mode == Mode::kAuto && auto_simd();
-  decode512_ = simd_ && cpu_has_avx512f();
   const std::size_t w = chains_.size();
   pi_.resize(block_size_ * w);
   dir_.resize(block_size_ * w);
@@ -424,9 +379,8 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
   // then binary-search the monotone decoded-uniform curve for the
   // count of raw values accepted by `q < w`. All lanes share (λ, γ),
   // so one table serves the band. Only the 8-lane SIMD execute reads
-  // it, so narrower bands skip the 275 searches: on a 4-core AVX-512
-  // Xeon they take ~43 µs, the rest of a width-1 band (one chain's
-  // run()) ~0.7 µs.
+  // it, so narrower bands skip the 275 searches: on a 4-core Xeon they
+  // take ~43 µs, the rest of a width-1 band (one chain's run()) ~0.7 µs.
   if (!simd_ || w != kMaxWidth) return;
   for (int a = -5; a <= 5; ++a) {
     for (int b = -SeparationChain::kMaxExp; b <= SeparationChain::kMaxExp;
@@ -620,9 +574,19 @@ void ReplicaBand::run_block(const std::size_t* active) {
   }
   for (std::size_t r = 0; r < W; ++r) {
     std::size_t from = done[r];
+    if (from < active[r] && arena_ok_) from = execute_lane(r, from, active[r]);
     if (from >= active[r]) continue;
-    if (arena_ok_) from = execute_lane<true>(r, from, active[r]);
-    if (from < active[r]) execute_lane<false>(r, from, active[r]);
+    // Ticks the arena cannot serve run through step()'s own body on the
+    // lane's FlatMap, synced first. advance() counts into the chain's
+    // counters itself; flush_counters adds their steps.
+    SeparationChain& chain = *chains_[r];
+    chain.sys_.sync_index();
+    for (std::size_t t = from; t < active[r]; ++t) {
+      chain.advance(static_cast<ParticleIndex>(pi_[t * W + r]),
+                    static_cast<int>(dir_[t * W + r]),
+                    util::decode_uniform_open(q_[t * W + r]));
+    }
+    stats_.scalar_steps += active[r] - from;
   }
   flush_counters(active);
 }
@@ -652,54 +616,96 @@ void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
   stats_.tail_words += tail;
 }
 
-template <bool kArena>
+inline bool ReplicaBand::arena_move(std::size_t r, ParticleIndex pi, int dir,
+                                    int de, int dh) {
+  system::ParticleSystem& sys = chains_[r]->sys_;
+  const Node dst = lattice::neighbor(sys.position(pi), dir);
+  sys.move_unindexed(pi, dst, de, dh);
+  if (!arena_ok_) return false;
+  // Addresses come from the live packed SoA: an earlier lane's drift
+  // rebuild in the same tick may have re-centered the planes.
+  std::uint32_t* const cells = cells_.data();
+  const std::size_t soa = static_cast<std::size_t>(pi) * width() + r;
+  const auto pc = static_cast<std::uint32_t>(pcell_[soa]);
+  const std::int64_t base = pc & kIdxMask;
+  const std::int64_t lp_cell = base + lp_off_[static_cast<std::size_t>(dir)];
+  cells[lp_cell] = cells[base];
+  cells[base] = 0;
+  pcell_[soa] = static_cast<std::int32_t>(
+      (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
+  if (dst.x - x0_[r] < kArenaSlack || x0_[r] + w_ - 1 - dst.x < kArenaSlack ||
+      dst.y - y0_[r] < kArenaSlack || y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
+    rebuild_arena();
+  }
+  return arena_ok_;
+}
+
+inline void ReplicaBand::arena_swap(std::size_t r, ParticleIndex pi,
+                                    ParticleIndex qj, int dir, int sx) {
+  chains_[r]->sys_.swap_unindexed(pi, qj, -sx);
+  if (!arena_ok_) return;
+  // The cell exchange masks to a no-op for same-color swaps, matching
+  // swap_unindexed leaving the positions untouched.
+  std::uint32_t* const cells = cells_.data();
+  const std::size_t si = static_cast<std::size_t>(pi) * width() + r;
+  const auto pci = static_cast<std::uint32_t>(pcell_[si]);
+  const std::int64_t base = pci & kIdxMask;
+  const std::int64_t lp_cell = base + lp_off_[static_cast<std::size_t>(dir)];
+  const std::uint32_t a = cells[base];
+  const std::uint32_t b = cells[lp_cell];
+  const std::uint32_t mask =
+      ((a ^ b) >> cell::kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
+  cells[base] = a ^ ((a ^ b) & mask);
+  cells[lp_cell] = b ^ ((a ^ b) & mask);
+  if (mask != 0) {
+    // Different colors: the particles exchanged cells; each keeps its
+    // own color nibble, only the address parts swap.
+    const std::size_t sj = static_cast<std::size_t>(qj) * width() + r;
+    const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
+    pcell_[si] =
+        static_cast<std::int32_t>((pci & ~kIdxMask) | (pcj & kIdxMask));
+    pcell_[sj] =
+        static_cast<std::int32_t>((pcj & ~kIdxMask) | (pci & kIdxMask));
+  }
+}
+
 std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
                                       std::size_t to) {
-  SeparationChain& chain = *chains_[r];
-  system::ParticleSystem& sys = chain.sys_;
-  const Params params = chain.params_;
+  const SeparationChain& chain = *chains_[r];
+  const bool swaps = chain.params_.swaps_enabled;
   const double* const pow_l = chain.pow_lambda_ + SeparationChain::kMaxExp;
   const double* const pow_g = chain.pow_gamma_ + SeparationChain::kMaxExp;
   LaneCounts& c = lane_counts_[r];
   const std::size_t W = width();
-  std::uint32_t* cells = cells_.data();
+  const std::uint32_t* cells = cells_.data();
   std::size_t stop = to;
-  if constexpr (!kArena) sys.sync_index();
 
   for (std::size_t t = from; t < to; ++t) {
     const auto pi = static_cast<ParticleIndex>(pi_[t * W + r]);
     const int dir = static_cast<int>(dir_[t * W + r]);
     const double q = util::decode_uniform_open(q_[t * W + r]);
-    std::size_t soa = 0;
-    std::uint32_t pc = 0;
-    std::int64_t base = 0;
-    std::int64_t lp_cell = 0;
 
-    NeighborhoodView nb;
-    if constexpr (kArena) {
-      soa = static_cast<std::size_t>(pi) * W + r;
-      pc = static_cast<std::uint32_t>(pcell_[soa]);
-      base = pc & kIdxMask;
-      lp_cell = base + lp_off_[static_cast<std::size_t>(dir)];
-      unsigned occ = 1u << NeighborhoodGather::kNodeL;
-      std::uint64_t nib = 0;
-      for (std::size_t k = 0; k < 8; ++k) {
-        const std::uint32_t cl =
-            cells[base + ring_off_[k][static_cast<std::size_t>(dir)]];
-        occ |= static_cast<unsigned>(cl != 0) << k;
-        nib ^= static_cast<std::uint64_t>(cl >> cell::kNibbleShift) << (4 * k);
-      }
-      const std::uint32_t lpc = cells[lp_cell];
-      occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-      nib ^= static_cast<std::uint64_t>(lpc >> cell::kNibbleShift) << 36;
-      nib ^= static_cast<std::uint64_t>(pc >> 28) << 32;
-      nb.occ = static_cast<std::uint16_t>(occ);
-      nb.color_nibbles ^= nib;
-      nb.p_at_l = pi;
-      nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kIndexMask) - 1;
-    } else {
-      nb = NeighborhoodView::gather(sys, sys.position(pi), dir, pi);
+    const std::size_t soa = static_cast<std::size_t>(pi) * W + r;
+    const auto pc = static_cast<std::uint32_t>(pcell_[soa]);
+    const std::int64_t base = pc & kIdxMask;
+    unsigned occ = 1u << NeighborhoodGather::kNodeL;
+    std::uint64_t nib = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::uint32_t cl =
+          cells[base + ring_off_[k][static_cast<std::size_t>(dir)]];
+      occ |= static_cast<unsigned>(cl != 0) << k;
+      nib ^= static_cast<std::uint64_t>(cl >> cell::kNibbleShift) << (4 * k);
     }
+    const std::uint32_t lpc =
+        cells[base + lp_off_[static_cast<std::size_t>(dir)]];
+    occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
+    nib ^= static_cast<std::uint64_t>(lpc >> cell::kNibbleShift) << 36;
+    nib ^= static_cast<std::uint64_t>(pc >> 28) << 32;
+    NeighborhoodView nb;
+    nb.occ = static_cast<std::uint16_t>(occ);
+    nb.color_nibbles ^= nib;
+    nb.p_at_l = pi;
+    nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kIndexMask) - 1;
 
     if (!nb.lp_occupied()) {
       ++c.move_proposals;
@@ -720,132 +726,44 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
         ++c.rejected_metropolis;
         continue;
       }
-      const Node dst = lattice::neighbor(sys.position(pi), dir);
       ++c.moves_accepted;
-      if constexpr (!kArena) {
-        sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
-      } else {
-        sys.move_unindexed(pi, dst, ep - e, (ep - epi) - (e - ei));
-        cells[lp_cell] = cells[base];
-        cells[base] = 0;
-        pcell_[soa] = static_cast<std::int32_t>(
-            (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-        if (dst.x - x0_[r] < kArenaSlack ||
-            x0_[r] + w_ - 1 - dst.x < kArenaSlack ||
-            dst.y - y0_[r] < kArenaSlack ||
-            y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
-          rebuild_arena();
-          if (!arena_ok_) {
-            stop = t + 1;
-            break;
-          }
-          cells = cells_.data();
-        }
+      if (!arena_move(r, pi, dir, ep - e, (ep - epi) - (e - ei))) {
+        stop = t + 1;
+        break;
       }
+      cells = cells_.data();  // a drift rebuild may have moved the arena
       continue;
     }
 
-    if (!params.swaps_enabled) continue;
+    if (!swaps) continue;
     ++c.swap_proposals;
     const int sx = nb.swap_exponent();
     if (q >= pow_g[sx]) continue;
-    const ParticleIndex qj = nb.p_at_lp;
     ++c.swaps_accepted;
-    if constexpr (!kArena) {
-      sys.apply_swap_unchecked(pi, qj, -sx);
-    } else {
-      sys.swap_unindexed(pi, qj, -sx);
-      const std::uint32_t a = cells[base];
-      const std::uint32_t b = cells[lp_cell];
-      const std::uint32_t mask =
-          ((a ^ b) >> cell::kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
-      cells[base] = a ^ ((a ^ b) & mask);
-      cells[lp_cell] = b ^ ((a ^ b) & mask);
-      if (mask != 0) {
-        // Different colors: the particles exchanged cells; each keeps
-        // its own color nibble, only the address parts swap.
-        const std::size_t sj = static_cast<std::size_t>(qj) * W + r;
-        const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
-        pcell_[soa] = static_cast<std::int32_t>((pc & ~kIdxMask) |
-                                                (pcj & kIdxMask));
-        pcell_[sj] = static_cast<std::int32_t>((pcj & ~kIdxMask) |
-                                               (pc & kIdxMask));
-      }
-    }
+    arena_swap(r, pi, nb.p_at_lp, dir, sx);
   }
   stats_.scalar_steps += stop - from;
   return stop;
 }
 
 bool ReplicaBand::apply_group(int mm_macc, int mm_sacc, const Spill& sp) {
-  const std::size_t W = width();
-
-  // Apply accepted lanes scalar through the same index-free mutators
-  // the arena walk uses: the decisions are already made, so no apply
-  // reads the FlatMap. Arena addresses are re-read from the live packed
-  // SoA (an earlier lane's drift rebuild may have re-centered the
-  // planes); a declined rebuild finishes the tick's remaining applies
-  // without the arena, and the caller hands the rest of the block to
-  // the scalar FlatMap sweep, which syncs each lane's map first.
+  // The decisions are made, so the applies read no neighborhood. A
+  // declined rebuild finishes the tick's remaining applies without the
+  // arena, and the caller runs the rest of the block through step()'s
+  // body, which reads each lane's synced FlatMap.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const auto r = static_cast<std::size_t>(j);
-    system::ParticleSystem& sys = chains_[r]->sys_;
-    const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
-    const Node l = sys.position(pi);
-    const Node dst = lattice::neighbor(l, static_cast<int>(sp.dir[j]));
-    sys.move_unindexed(pi, dst, sp.de[j], sp.dh[j]);
-    if (!arena_ok_) continue;
-    std::uint32_t* const cl = cells_.data();
-    const std::size_t soa = static_cast<std::size_t>(sp.pi[j]) * W + r;
-    const auto pc = static_cast<std::uint32_t>(pcell_[soa]);
-    const std::int64_t base = pc & kIdxMask;
-    const std::int64_t lp_cell =
-        base + lp_off_[static_cast<std::size_t>(sp.dir[j])];
-    cl[lp_cell] = cl[base];
-    cl[base] = 0;
-    pcell_[soa] = static_cast<std::int32_t>(
-        (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-    if (dst.x - x0_[r] < kArenaSlack ||
-        x0_[r] + w_ - 1 - dst.x < kArenaSlack ||
-        dst.y - y0_[r] < kArenaSlack ||
-        y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
-      rebuild_arena();
-    }
+    arena_move(static_cast<std::size_t>(j), sp.pi[j], sp.dir[j], sp.de[j],
+               sp.dh[j]);
   }
   for (int m = mm_sacc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const auto r = static_cast<std::size_t>(j);
-    system::ParticleSystem& sys = chains_[r]->sys_;
-    const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
     const auto qj = static_cast<ParticleIndex>(
                         static_cast<std::uint32_t>(sp.lpc[j]) &
                         cell::kIndexMask) -
                     1;
-    sys.swap_unindexed(pi, qj, -sp.sx[j]);
-    if (!arena_ok_) continue;
-    // The mirror exchange masks to a no-op for same-color swaps,
-    // matching swap_unindexed leaving the positions untouched.
-    std::uint32_t* const cl = cells_.data();
-    const std::size_t si = static_cast<std::size_t>(sp.pi[j]) * W + r;
-    const std::size_t sj = static_cast<std::size_t>(qj) * W + r;
-    const auto pci = static_cast<std::uint32_t>(pcell_[si]);
-    const std::int64_t base = pci & kIdxMask;
-    const std::int64_t lp_cell =
-        base + lp_off_[static_cast<std::size_t>(sp.dir[j])];
-    const std::uint32_t a = cl[base];
-    const std::uint32_t b = cl[lp_cell];
-    const std::uint32_t mask =
-        ((a ^ b) >> cell::kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
-    cl[base] = a ^ ((a ^ b) & mask);
-    cl[lp_cell] = b ^ ((a ^ b) & mask);
-    if (mask != 0) {
-      const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
-      pcell_[si] = static_cast<std::int32_t>((pci & ~kIdxMask) |
-                                             (pcj & kIdxMask));
-      pcell_[sj] = static_cast<std::int32_t>((pcj & ~kIdxMask) |
-                                             (pci & kIdxMask));
-    }
+    arena_swap(static_cast<std::size_t>(j), sp.pi[j], qj, sp.dir[j],
+               sp.sx[j]);
   }
   return arena_ok_;
 }
@@ -870,10 +788,6 @@ void ReplicaBand::flush_counters(const std::size_t* active) {
 
 __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
     std::size_t ticks) {
-  if (decode512_) {
-    decode_group_simd512(ticks);
-    return;
-  }
   const std::uint64_t n = chains_[0]->sys_.size();
 
   // Pre-call snapshot: the rejection replay path restarts a lane's
@@ -944,65 +858,6 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
     // is wrong from that draw on: replay the whole lane scalar from
     // the snapshot — the definitive decode, rejection spills included.
     for (int m = mrej; m != 0; m &= m - 1) {
-      const auto j = static_cast<std::size_t>(
-          std::countr_zero(static_cast<unsigned>(m)));
-      chains_[j]->rng_.set_state(snap[j]);
-      decode_lane(j, 0, ticks);
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void ReplicaBand::decode_group_simd512(
-    std::size_t ticks) {
-  const std::uint64_t n = chains_[0]->sys_.size();
-
-  util::Rng::State snap[8];
-  alignas(64) std::uint64_t st[4][8];
-  for (std::size_t j = 0; j < 8; ++j) {
-    snap[j] = chains_[j]->rng_.state();
-    for (std::size_t k = 0; k < 4; ++k) st[k][j] = snap[j][k];
-  }
-  __m512i s0 = _mm512_load_si512(&st[0][0]);
-  __m512i s1 = _mm512_load_si512(&st[1][0]);
-  __m512i s2 = _mm512_load_si512(&st[2][0]);
-  __m512i s3 = _mm512_load_si512(&st[3][0]);
-
-  const __m512i vn = _mm512_set1_epi64(static_cast<long long>(n));
-  const __m512i v6 = _mm512_set1_epi64(6);
-  const __m512i vthrn =
-      _mm512_set1_epi64(static_cast<long long>((0 - n) % n));
-  const __m512i vthr6 = _mm512_set1_epi64(
-      static_cast<long long>((0 - std::uint64_t{6}) % 6));
-  __mmask8 rej = 0;
-
-  std::int32_t* const pi = pi_.data();
-  std::int32_t* const dr = dir_.data();
-  std::uint64_t* const q = q_.data();
-  for (std::size_t t = 0; t < ticks; ++t) {
-    const std::size_t idx = t * 8;
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(pi + idx),
-        _mm512_cvtepi64_epi32(
-            lemire8(xo_next8(s0, s1, s2, s3), vn, vthrn, rej)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dr + idx),
-        _mm512_cvtepi64_epi32(
-            lemire8(xo_next8(s0, s1, s2, s3), v6, vthr6, rej)));
-    // The Metropolis draw stays a raw word (see the AVX2 body).
-    _mm512_storeu_si512(q + idx, xo_next8(s0, s1, s2, s3));
-  }
-  stats_.refill_words += 3 * ticks * 8;
-
-  _mm512_store_si512(&st[0][0], s0);
-  _mm512_store_si512(&st[1][0], s1);
-  _mm512_store_si512(&st[2][0], s2);
-  _mm512_store_si512(&st[3][0], s3);
-  for (std::size_t j = 0; j < 8; ++j) {
-    chains_[j]->rng_.set_state({st[0][j], st[1][j], st[2][j], st[3][j]});
-  }
-
-  if (rej != 0) [[unlikely]] {
-    for (int m = rej; m != 0; m &= m - 1) {
       const auto j = static_cast<std::size_t>(
           std::countr_zero(static_cast<unsigned>(m)));
       chains_[j]->rng_.set_state(snap[j]);
@@ -1086,10 +941,6 @@ void ReplicaBand::decode_group_simd(std::size_t ticks) {
   // Unreachable in practice (simd_ is never true off x86-64); decode
   // scalar so the contract holds if it is ever called anyway.
   for (std::size_t j = 0; j < 8; ++j) decode_lane(j, 0, ticks);
-}
-
-void ReplicaBand::decode_group_simd512(std::size_t ticks) {
-  decode_group_simd(ticks);
 }
 
 std::size_t ReplicaBand::execute_group_simd(const std::size_t*) {

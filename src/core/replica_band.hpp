@@ -38,17 +38,18 @@
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the band, so ragged quotas stay
 //    vectorized. Accepted lanes (typically a small minority) apply
-//    scalar through the same index-free mutators the scalar arena walk
-//    uses.
+//    scalar through the same arena update the scalar arena walk uses.
 //
 // Arena cells are the 32-bit encoding of cell_codec.hpp.
 //
 // While run() executes, a valid arena is each lane's occupancy. The
-// arena walk and the SIMD path's applies move particles through
-// ParticleSystem's index-free mutators, which update positions, e(σ)
-// and h(σ) but leave the FlatMap stale; no FlatMap insert or erase runs
-// while the band holds its arena. The FlatMap walk syncs its lane's map
-// before its first read, and run() syncs every lane on exit (an
+// arena walk and the SIMD path's applies share one arena update per
+// accepted move or swap (arena_move / arena_swap), which moves
+// particles through ParticleSystem's index-free mutators: they update
+// positions, e(σ) and h(σ) but leave the FlatMap stale, so no FlatMap
+// insert or erase runs while the band holds its arena. A tick the arena
+// cannot serve runs step()'s own body (SeparationChain::advance) after
+// its lane's map is synced, and run() syncs every lane on exit (an
 // exception included), so every reader outside run() — step(),
 // measurement, save_state(), the invariant checks — sees a current map.
 //
@@ -57,8 +58,8 @@
 // the arena covers every lane's bounding box economically. Everything
 // else — narrower bands (a single chain included), arena-cap refusals,
 // drift rebuilds that decline mid-run — falls back to per-lane scalar
-// execution over the arena or, failing that, the FlatMap gather path.
-// All paths produce the same bytes.
+// execution over the arena or, failing that, step()'s body on the
+// FlatMap. All paths produce the same bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -170,20 +171,11 @@ class ReplicaBand {
   /// vectorized xoshiro256++/Lemire path; lanes that would hit the
   /// Lemire rejection branch are replayed scalar from their pre-call
   /// RNG state. Requires n < 2^24 (the vector rejection test's range).
-  /// Dispatches to the AVX-512 body below when the CPU has it.
   void decode_group_simd(std::size_t ticks);
-  /// AVX-512 twin of decode_group_simd: all eight lanes' xoshiro256++
-  /// states live in four zmm registers, so each draw is one vector op
-  /// sequence instead of two 4-lane halves. Every operation is an
-  /// exact integer op — the produced words, rejection replays, and
-  /// post-call RNG states are identical to the AVX2 body's.
-  void decode_group_simd512(std::size_t ticks);
-  /// Executes decoded ticks [from, to) of lane `r` on the scalar path,
-  /// over the arena when kArena (index-free applies), else through the
-  /// FlatMap gather after syncing the lane's map. Returns `to`
-  /// normally, or the resume tick when the arena was declined mid-walk
-  /// (arena path only); the caller re-enters with kArena = false.
-  template <bool kArena>
+  /// Executes decoded ticks [from, to) of lane `r` on the scalar path
+  /// over the arena. Returns `to` normally, or the tick after the one
+  /// whose drift rebuild declined the arena; the caller runs the rest
+  /// through SeparationChain::advance.
   std::size_t execute_lane(std::size_t r, std::size_t from, std::size_t to);
   /// Executes ticks [0, max over the lanes of active[j]) for the full
   /// 8-lane band with AVX2 gathers; lanes whose active count is below
@@ -191,10 +183,26 @@ class ReplicaBand {
   /// (the max normally; early when a drift rebuild declined the arena).
   std::size_t execute_group_simd(const std::size_t* active);
   /// Applies the accepted moves/swaps of one tick (mask bits of
-  /// mm_macc / mm_sacc) scalar through the index-free mutators,
-  /// mirroring each into the arena. Returns false when a drift rebuild
-  /// declined the arena (caller stops the SIMD walk after this tick).
+  /// mm_macc / mm_sacc) scalar through arena_move / arena_swap. Returns
+  /// false when a drift rebuild declined the arena (caller stops the
+  /// SIMD walk after this tick).
   bool apply_group(int mm_macc, int mm_sacc, const Spill& sp);
+  /// The one arena update for an accepted move of lane r's particle
+  /// `pi` toward `dir`, with e(σ)/h(σ) deltas `de`/`dh`: the index-free
+  /// move, then, while the arena is valid, the cell, the packed SoA and
+  /// the guard-band rebuild. Returns false when the arena was declined
+  /// before the call or by that rebuild. Force-inlined: it runs on
+  /// every accept.
+  [[gnu::always_inline]] inline bool arena_move(std::size_t r,
+                                                system::ParticleIndex pi,
+                                                int dir, int de, int dh);
+  /// The one arena update for an accepted swap of lane r's particle
+  /// `pi` with `qj` at pi + dir, swap exponent `sx`: the index-free
+  /// swap, then, while the arena is valid, the masked cell exchange.
+  [[gnu::always_inline]] inline void arena_swap(std::size_t r,
+                                                system::ParticleIndex pi,
+                                                system::ParticleIndex qj,
+                                                int dir, int sx);
 
   /// (Re)builds the shared-geometry arena, the per-lane position/color
   /// SoA and the direction offset tables; arena_ok_ = false when any
@@ -206,7 +214,6 @@ class ReplicaBand {
   std::vector<SeparationChain*> chains_;
   std::size_t block_size_;
   bool simd_ = false;
-  bool decode512_ = false;  ///< AVX-512 decode kernel engaged
 
   // Decoded proposals, tick-major and lane-minor: tick t of lane r
   // lives at [t * width + r], so one tick is one contiguous band. q_

@@ -48,8 +48,8 @@ ChainMatrix::ChainMatrix(const std::vector<std::size_t>& color_counts,
           const int e = sys.neighbor_count(l);
           if (e != 5 &&
               core::move_preserves_invariants_reference(sys, l, dir)) {
-            accept =
-                std::min(1.0, core::move_weight(sys, params_, l, dir));
+            accept = std::min(
+                1.0, core::move_weight_reference(sys, params_, l, dir));
             // Apply, canonicalize, revert.
             ParticleSystem moved = sys;
             moved.apply_move(pi, lp);
@@ -60,7 +60,8 @@ ChainMatrix::ChainMatrix(const std::vector<std::size_t>& color_counts,
             target = it->second;
           }
         } else if (params_.swaps_enabled) {
-          accept = std::min(1.0, core::swap_weight(sys, params_, l, dir));
+          accept = std::min(
+              1.0, core::swap_weight_reference(sys, params_, l, dir));
           ParticleSystem swapped = sys;
           swapped.apply_swap(pi, qi);
           const auto it = index_.find(state_of(swapped).key());

@@ -149,31 +149,6 @@ void ParticleSystem::apply_move(ParticleIndex i, Node to,
   hetero_edges_ += hetero_delta;
 }
 
-void ParticleSystem::apply_move_unchecked(ParticleIndex i, Node to,
-                                          std::int64_t edge_delta,
-                                          std::int64_t hetero_delta) {
-  occupancy_.erase(lattice::pack(positions_[static_cast<std::size_t>(i)]));
-  positions_[static_cast<std::size_t>(i)] = to;
-  occupancy_.insert(lattice::pack(to), i);
-  edges_ += edge_delta;
-  hetero_edges_ += hetero_delta;
-}
-
-void ParticleSystem::apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
-                                          std::int64_t hetero_delta) {
-  if (colors_[static_cast<std::size_t>(i)] ==
-      colors_[static_cast<std::size_t>(j)]) {
-    return;  // configuration unchanged, exactly like apply_swap
-  }
-  const Node a = positions_[static_cast<std::size_t>(i)];
-  const Node b = positions_[static_cast<std::size_t>(j)];
-  positions_[static_cast<std::size_t>(i)] = b;
-  positions_[static_cast<std::size_t>(j)] = a;
-  occupancy_.insert(lattice::pack(a), j);
-  occupancy_.insert(lattice::pack(b), i);
-  hetero_edges_ += hetero_delta;
-}
-
 void ParticleSystem::sync_index() noexcept {
   if (!index_stale_) return;
   // Two passes: a displaced particle's new node may be another one's

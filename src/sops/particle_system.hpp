@@ -144,32 +144,18 @@ class ParticleSystem {
   void apply_move(ParticleIndex i, lattice::Node to, std::int64_t edge_delta,
                   std::int64_t hetero_delta);
 
-  /// apply_move with deltas, minus the adjacency/occupancy precondition
-  /// probes. For callers whose gather already certified the target empty
-  /// and adjacent (the replica band's FlatMap walk); produces the
-  /// identical state as the checked overload when the preconditions
-  /// hold.
-  void apply_move_unchecked(ParticleIndex i, lattice::Node to,
-                            std::int64_t edge_delta,
-                            std::int64_t hetero_delta);
-
   /// Swaps the positions of two adjacent particles.
   void apply_swap(ParticleIndex i, ParticleIndex j);
 
-  /// apply_swap with a caller-supplied h(σ) delta instead of the two
-  /// before/after recounts (2 × 2 × 6 occupancy probes). The delta of a
-  /// heterogeneous swap is a pure function of the gathered neighborhood:
-  /// exactly −NeighborhoodView::swap_exponent(). Same-color swaps are a
-  /// configuration no-op (delta ignored), matching the checked overload.
-  void apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
-                            std::int64_t hetero_delta);
-
-  /// Index-free twins of the two unchecked mutators, for a caller that
-  /// keeps its own occupancy while it runs (the replica band's arena):
-  /// they update positions, e(σ) and h(σ) but not the occupancy index,
-  /// which they mark stale. Until sync_index() runs, nothing may read
-  /// the index: occupied, particle_at, the neighbor counts,
-  /// gather_neighborhood, recount_edges and the other mutators.
+  /// Index-free mutators for a caller that keeps its own occupancy
+  /// while it runs (the replica band's arena) and has checked the
+  /// preconditions itself. They take caller-supplied deltas (a
+  /// heterogeneous swap's h(σ) delta is
+  /// −NeighborhoodView::swap_exponent()) and update positions, e(σ) and
+  /// h(σ) but not the occupancy index, which they mark stale. Until
+  /// sync_index() runs, nothing may read the index: occupied,
+  /// particle_at, the neighbor counts, gather_neighborhood,
+  /// recount_edges and the other mutators.
   void move_unindexed(ParticleIndex i, lattice::Node to,
                       std::int64_t edge_delta,
                       std::int64_t hetero_delta) noexcept {

@@ -58,9 +58,12 @@ INSTANTIATE_TEST_SUITE_P(
       const double gamma = std::get<1>(info.param);
       const bool swaps = std::get<2>(info.param);
       const StartShape shape = std::get<3>(info.param);
-      std::string name = "l" + std::to_string(static_cast<int>(lambda * 4)) +
-                         "_g" + std::to_string(static_cast<int>(gamma * 4)) +
-                         (swaps ? "_swaps_" : "_noswaps_") + shape_name(shape);
+      std::string name = "l";
+      name += std::to_string(static_cast<int>(lambda * 4));
+      name += "_g";
+      name += std::to_string(static_cast<int>(gamma * 4));
+      name += swaps ? "_swaps_" : "_noswaps_";
+      name += shape_name(shape);
       return name;
     });
 

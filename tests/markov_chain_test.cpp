@@ -48,7 +48,7 @@ TEST(MoveWeight, MatchesLemma9StationaryRatio) {
     const Node lp = lattice::neighbor(l, dir);
     if (sys.occupied(lp)) continue;
 
-    const double w = move_weight(sys, params, l, dir);
+    const double w = move_weight_reference(sys, params, l, dir);
 
     const std::int64_t e_before = sys.edge_count();
     const std::int64_t a_before = sys.homo_edge_count();
@@ -74,10 +74,10 @@ TEST(MoveWeight, ForwardTimesReverseIsOne) {
     const Node l = sys.position(i);
     const Node lp = lattice::neighbor(l, dir);
     if (sys.occupied(lp)) continue;
-    const double forward = move_weight(sys, params, l, dir);
+    const double forward = move_weight_reference(sys, params, l, dir);
     sys.apply_move(i, lp);
     const double reverse =
-        move_weight(sys, params, lp, lattice::opposite(dir));
+        move_weight_reference(sys, params, lp, lattice::opposite(dir));
     EXPECT_NEAR(forward * reverse, 1.0, 1e-9);
   }
 }
@@ -98,7 +98,7 @@ TEST(SwapWeight, MatchesHomoEdgeDelta) {
     if (j == system::kNoParticle || sys.color(i) == sys.color(j)) continue;
     ++checked;
 
-    const double w = swap_weight(sys, params, l, dir);
+    const double w = swap_weight_reference(sys, params, l, dir);
     const std::int64_t a_before = sys.homo_edge_count();
     sys.apply_swap(i, j);
     const std::int64_t a_after = sys.homo_edge_count();
@@ -121,11 +121,11 @@ TEST(SwapWeight, ForwardTimesReverseIsOne) {
     const Node lp = lattice::neighbor(l, dir);
     const auto j = sys.particle_at(lp);
     if (j == system::kNoParticle || sys.color(i) == sys.color(j)) continue;
-    const double forward = swap_weight(sys, params, l, dir);
+    const double forward = swap_weight_reference(sys, params, l, dir);
     sys.apply_swap(i, j);
     // After the swap, particle j sits at l; the reverse proposal is the
     // same edge considered from l again.
-    const double reverse = swap_weight(sys, params, l, dir);
+    const double reverse = swap_weight_reference(sys, params, l, dir);
     EXPECT_NEAR(forward * reverse, 1.0, 1e-9);
   }
 }

@@ -173,44 +173,6 @@ TEST(ParticleSystemTest, IncrementalCountsMatchRecountUnderChurn) {
   }
 }
 
-// Twin test for the unchecked delta-fed mutators the replica band
-// drives: against a second system mutated by the checked overloads, a
-// churn of moves (deltas from a recount oracle) and swaps (delta from
-// the hetero recount identity) must stay byte-identical in positions,
-// occupancy, and edge bookkeeping.
-TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
-  util::Rng rng(505);
-  auto nodes = lattice::compact_blob(40);
-  std::vector<Color> colors(40);
-  for (auto& c : colors) c = static_cast<Color>(rng.below(3));
-  ParticleSystem checked(nodes, colors);
-  ParticleSystem unchecked(nodes, colors);
-
-  for (int step = 0; step < 3000; ++step) {
-    const auto i = static_cast<ParticleIndex>(rng.below(checked.size()));
-    const int dir = static_cast<int>(rng.below(6));
-    const Node target = lattice::neighbor(checked.position(i), dir);
-    const ParticleIndex j = checked.particle_at(target);
-    if (j == kNoParticle) {
-      const std::int64_t e0 = checked.edge_count();
-      const std::int64_t h0 = checked.hetero_edge_count();
-      checked.apply_move(i, target);
-      unchecked.apply_move_unchecked(i, target, checked.edge_count() - e0,
-                                     checked.hetero_edge_count() - h0);
-    } else if (j != i) {
-      const std::int64_t h0 = checked.hetero_edge_count();
-      checked.apply_swap(i, j);
-      unchecked.apply_swap_unchecked(i, j, checked.hetero_edge_count() - h0);
-    }
-    ASSERT_EQ(checked.positions(), unchecked.positions()) << "step " << step;
-    ASSERT_EQ(checked.edge_count(), unchecked.edge_count()) << "step " << step;
-    ASSERT_EQ(checked.hetero_edge_count(), unchecked.hetero_edge_count())
-        << "step " << step;
-    ASSERT_EQ(checked.particle_at(target), unchecked.particle_at(target))
-        << "step " << step;
-  }
-}
-
 TEST(RenderTest, AsciiShowsBothGlyphs) {
   ParticleSystem sys = two_color_triangle();
   const std::string art = render_ascii(sys);

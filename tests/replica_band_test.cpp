@@ -3,8 +3,8 @@
 // by the same number of serial step() calls — same positions, colors,
 // edge counts, all eight counters, post-run RNG state, and an
 // occupancy index in sync with the positions — at every width, on
-// every execution path (SIMD groups, scalar-over-arena, FlatMap
-// fallback), through ragged per-lane quotas, and across arena
+// every execution path (SIMD groups, scalar-over-arena, step()'s body
+// on the FlatMap), through ragged per-lane quotas, and across arena
 // re-centers. This is the contract that lets SeparationChain::run and
 // the separation model run every single chain as a width-1 band (the
 // StepPipeline cases at the end), and the ensemble group sweep
@@ -267,6 +267,7 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   band.run(20000);
   EXPECT_EQ(band.stats().arena_rebuilds, 0u);
   EXPECT_EQ(band.stats().simd_steps, 0u);
+  EXPECT_EQ(band.stats().scalar_steps, 8u * 20000u);
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 20000; ++i) serial[r].step();
     const std::string what = "outlier lane " + std::to_string(r);
@@ -293,68 +294,91 @@ TEST(ReplicaBand, WideLayoutJustAboveIndexCapacityMatchesStepTwins) {
   }
 }
 
-// A drift rebuild that would grow the shared plane past the arena cap
-// (2^20 cells at this n) declines the arena in the middle of a walk,
-// and the band finishes the run() call on the FlatMap path. Every lane
-// is a free blob (λ = γ = 1) plus one isolated particle, which has no
-// neighbor and so never moves. Lane 3's sits so far out that the entry
-// plane is exactly 1024 × 1024 cells, the cap, so any growth of lane
-// 3's box declines. The other lanes pin theirs below and left of their
-// blobs, so only lane 3's blob drifting into its low-side guard band
-// can trigger a rebuild, and that rebuild grows the plane.
-TEST(ReplicaBand, DriftRebuildPastTheArenaCapDeclinesMidWalk) {
-  const Params params{1.0, 1.0, true};
-  constexpr std::uint64_t kSteps = 200000;
+// The arena-cap decline setup: each lane is a free blob (λ = γ = 1) of
+// 40 plus one isolated particle, which has no neighbor and so never
+// moves. Lane 3's sits so far out that its entry plane is exactly
+// 1024 × 1024 cells, the cap at this n, so any growth of lane 3's box
+// declines the arena. The other lanes pin theirs below and left of
+// their blobs, so only lane 3's blob drifting into its low-side guard
+// band can trigger a rebuild, and that rebuild grows the plane.
+// cap_decline_lane(r) builds lane r; for lane 3, `origin` receives its
+// entry plane origin.
+constexpr std::uint64_t kCapDeclineSteps = 200000;
+
+SeparationChain cap_decline_lane(std::size_t r,
+                                 lattice::Node* origin = nullptr) {
   // The plane spans a lane's bounding box plus an 8-cell margin on each
   // side; its side is kSide, and kSide² is the cap.
   constexpr std::int32_t kSide = 1024;
   constexpr std::int32_t kMargin = 8;
+  util::Rng rng(101 + r);
+  auto nodes = lattice::random_blob(40, rng);
+  lattice::Node low = nodes.front();
+  for (const lattice::Node v : nodes) {
+    low.x = std::min(low.x, v.x);
+    low.y = std::min(low.y, v.y);
+  }
+  if (r == 3) {
+    const std::int32_t far = kSide - 2 * kMargin - 1;
+    nodes.push_back(lattice::Node{low.x + far, low.y + far});
+    if (origin != nullptr) {
+      *origin = lattice::Node{low.x - kMargin, low.y - kMargin};
+    }
+  } else {
+    nodes.push_back(lattice::Node{low.x - 50, low.y - 50});
+  }
+  const auto colors = balanced_random_colors(nodes.size(), 2, rng);
+  return SeparationChain(ParticleSystem(nodes, colors),
+                         Params{1.0, 1.0, true}, 101 + r);
+}
+
+// Steps lane 3's step() twin through the run and reports whether its
+// blob reached the guard band (3 cells inside the plane's low edges),
+// so that the band had to try a rebuild there.
+bool steps_into_guard_band(SeparationChain& serial, lattice::Node origin) {
+  bool guarded = false;
+  for (std::uint64_t i = 0; i < kCapDeclineSteps; ++i) {
+    serial.step();
+    for (std::size_t p = 0; !guarded && p < 40; ++p) {
+      const lattice::Node v = serial.system().positions()[p];
+      guarded = v.x - origin.x < 3 || v.y - origin.y < 3;
+    }
+  }
+  return guarded;
+}
+
+// A drift rebuild that would grow the shared plane past the arena cap
+// (2^20 cells at this n) declines the arena in the middle of a walk,
+// and the band finishes the run() call through step()'s body on the
+// FlatMap.
+TEST(ReplicaBand, DriftRebuildPastTheArenaCapDeclinesMidWalk) {
   std::vector<SeparationChain> banded;
   std::vector<SeparationChain> serial;
-  lattice::Node low3;  // lane 3's entry plane origin
+  lattice::Node origin3;
   for (std::size_t r = 0; r < 8; ++r) {
-    util::Rng rng(101 + r);
-    auto nodes = lattice::random_blob(40, rng);
-    lattice::Node low = nodes.front();
-    for (const lattice::Node v : nodes) {
-      low.x = std::min(low.x, v.x);
-      low.y = std::min(low.y, v.y);
-    }
-    if (r == 3) {
-      const std::int32_t far = kSide - 2 * kMargin - 1;
-      nodes.push_back(lattice::Node{low.x + far, low.y + far});
-      low3 = lattice::Node{low.x - kMargin, low.y - kMargin};
-    } else {
-      nodes.push_back(lattice::Node{low.x - 50, low.y - 50});
-    }
-    const auto colors = balanced_random_colors(nodes.size(), 2, rng);
-    banded.emplace_back(ParticleSystem(nodes, colors), params, 101 + r);
-    serial.emplace_back(ParticleSystem(nodes, colors), params, 101 + r);
+    banded.push_back(cap_decline_lane(r));
+    serial.push_back(cap_decline_lane(r, &origin3));
   }
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
-  band.run(kSteps);
+  band.run(kCapDeclineSteps);
   // Only the entry rebuild succeeded.
   EXPECT_EQ(band.stats().arena_rebuilds, 1u);
+  EXPECT_EQ(band.stats().simd_steps + band.stats().scalar_steps,
+            8 * kCapDeclineSteps);
   if (band.simd_enabled()) {
     EXPECT_GT(band.stats().simd_steps, 0u);
-    EXPECT_LT(band.stats().simd_steps, 8 * kSteps);
+    EXPECT_LT(band.stats().simd_steps, 8 * kCapDeclineSteps);
   } else {
     EXPECT_EQ(band.stats().simd_steps, 0u);
   }
   for (std::size_t r = 0; r < 8; ++r) {
-    // Lane 3's twin shows the trajectory reaching the guard band (3
-    // cells inside the plane's low edges), so the rebuild was tried on
-    // the scalar walk too.
-    bool guarded = r != 3;
-    for (std::uint64_t i = 0; i < kSteps; ++i) {
-      serial[r].step();
-      for (std::size_t p = 0; !guarded && p < 40; ++p) {
-        const lattice::Node v = serial[r].system().positions()[p];
-        guarded = v.x - low3.x < 3 || v.y - low3.y < 3;
-      }
+    if (r == 3) {
+      EXPECT_TRUE(steps_into_guard_band(serial[r], origin3))
+          << "lane 3 never drifted into its guard band";
+    } else {
+      for (std::uint64_t i = 0; i < kCapDeclineSteps; ++i) serial[r].step();
     }
-    EXPECT_TRUE(guarded) << "lane 3 never drifted into its guard band";
     const std::string what = "cap-decline lane " + std::to_string(r);
     expect_same_state(serial[r], banded[r], what);
     expect_rng_in_sync(serial[r], banded[r], what);
@@ -568,8 +592,8 @@ TEST(StepPipeline, DriftingBlobRecentersTheMirror) {
 }
 
 // A far-away outlier makes the bounding box uneconomical: the band must
-// decline the arena and run the whole trajectory through the FlatMap
-// gather path, still byte-identical to step().
+// decline the arena and run the whole trajectory through step()'s body
+// on the FlatMap, still byte-identical to step().
 TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   util::Rng rng(77);
   auto nodes = lattice::random_blob(60, rng);
@@ -583,8 +607,28 @@ TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   band.run(30000);
   EXPECT_EQ(band.stats().arena_rebuilds, 0u);
   EXPECT_EQ(band.stats().simd_steps, 0u);
+  EXPECT_EQ(band.stats().scalar_steps, 30000u);
   expect_same_state(serial, banded, "disconnected-outlier trajectory");
   expect_rng_in_sync(serial, banded, "disconnected-outlier trajectory");
+}
+
+// Lane 3 of ReplicaBand.DriftRebuildPastTheArenaCapDeclinesMidWalk on
+// its own. There, with SIMD on, the decline happens in the 8-lane
+// applies; here it happens in the single-chain arena walk, which then
+// hands the rest of the run to step()'s body after syncing the map.
+TEST(StepPipeline, DriftRebuildPastTheArenaCapDeclinesMidWalk) {
+  lattice::Node origin;
+  SeparationChain serial = cap_decline_lane(3, &origin);
+  SeparationChain banded = cap_decline_lane(3);
+  ReplicaBand band = band_of_one(banded);
+  band.run(kCapDeclineSteps);
+  // Only the entry rebuild succeeded.
+  EXPECT_EQ(band.stats().arena_rebuilds, 1u);
+  EXPECT_EQ(band.stats().scalar_steps, kCapDeclineSteps);
+  EXPECT_TRUE(steps_into_guard_band(serial, origin))
+      << "the chain never drifted into its guard band";
+  expect_same_state(serial, banded, "width-1 cap decline");
+  expect_rng_in_sync(serial, banded, "width-1 cap decline");
 }
 
 }  // namespace
