@@ -17,7 +17,6 @@
 #include "src/core/coloring.hpp"
 #include "src/core/locality.hpp"
 #include "src/core/markov_chain.hpp"
-#include "src/core/replica_band.hpp"
 #include "src/harness/harness.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/metrics/separation.hpp"
@@ -77,65 +76,35 @@ void BM_ChainStep_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 
-// Every timing iteration of the batched benchmarks below advances each
-// trajectory by one fixed 4096-step chunk, so the comparison against
-// BM_ChainStep is steps-for-steps.
+// SeparationChain::run (src/core/markov_chain.hpp), the walk every
+// trajectory runs on: each timing iteration advances the chain by one
+// fixed 4096-step chunk, so items/s compares steps-for-steps with
+// BM_ChainStep. arena_rebuilds and tail_words surface
+// SeparationChain::RunStats, so a drift-rebuild storm or Lemire-spill
+// anomaly shows up in the snapshot rather than as an unexplained
+// slowdown.
 constexpr std::uint64_t kChunk = 4096;
 
-// The batched executor (src/core/replica_band.hpp). Arg pair = (n, band
-// width); each timing iteration advances EVERY lane by one chunk, so
-// items = aggregate chain steps across the band. Width 1 is the
-// single-chain row — SeparationChain::run and the separation model run
-// on it — and items/s at width W divided by the width-1 items/s is the
-// per-core replica throughput ratio.
-// Lanes use distinct seeds — the arena sees genuinely diverged
-// configurations, not eight copies of one trajectory. The simd counter
-// records whether the AVX2 path was active (0 under SOPS_FORCE_SCALAR
-// or on non-AVX2 hosts; the ratio claim applies to simd == 1 runs);
-// simd_fraction is the share of steps actually executed on the SIMD
-// path (ragged groups, declined arenas, and scalar fall-backs drag it
-// below 1), the coverage number the snapshot script's --counters gate
-// checks. arena_rebuilds and tail_words surface ReplicaBand::Stats so
-// a drift-rebuild storm or Lemire-spill anomaly shows up in the
-// snapshot rather than as an unexplained slowdown.
-void replica_band_impl(benchmark::State& state, core::Params params) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(1));
-  std::vector<core::SeparationChain> chains;
-  chains.reserve(width);
-  for (std::size_t r = 0; r < width; ++r) {
-    chains.push_back(make_chain(n, 42 + 1000 * r, params));
-    chains.back().run(kStepBurnIn);
-  }
-  std::vector<core::SeparationChain*> ptrs;
-  for (auto& c : chains) ptrs.push_back(&c);
-  core::ReplicaBand band(ptrs);
-  std::uint64_t accepts0 = 0;
-  for (const auto& c : chains) {
-    accepts0 += c.counters().moves_accepted + c.counters().swaps_accepted;
-  }
+void chain_run_impl(benchmark::State& state, core::Params params) {
+  core::SeparationChain chain =
+      make_chain(static_cast<std::size_t>(state.range(0)), 42, params);
+  chain.run(kStepBurnIn);
+  const core::SeparationChain::RunStats before = chain.run_stats();
+  const std::uint64_t accepts0 =
+      chain.counters().moves_accepted + chain.counters().swaps_accepted;
   for (auto _ : state) {
-    band.run(kChunk);
+    chain.run(kChunk);
   }
-  const auto steps = static_cast<std::int64_t>(state.iterations()) *
-                     static_cast<std::int64_t>(kChunk) *
-                     static_cast<std::int64_t>(width);
+  const auto steps =
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(kChunk);
   state.SetItemsProcessed(steps);
-  const core::ReplicaBand::Stats& st = band.stats();
-  const double executed =
-      static_cast<double>(st.simd_steps + st.scalar_steps);
-  std::uint64_t accepts = 0;
-  for (const auto& c : chains) {
-    accepts += c.counters().moves_accepted + c.counters().swaps_accepted;
-  }
-  state.counters["simd"] =
-      benchmark::Counter(band.simd_enabled() ? 1.0 : 0.0);
-  state.counters["simd_fraction"] = benchmark::Counter(
-      executed > 0.0 ? static_cast<double>(st.simd_steps) / executed : 0.0);
-  state.counters["arena_rebuilds"] =
-      benchmark::Counter(static_cast<double>(st.arena_rebuilds));
-  state.counters["tail_words"] =
-      benchmark::Counter(static_cast<double>(st.tail_words));
+  const std::uint64_t accepts =
+      chain.counters().moves_accepted + chain.counters().swaps_accepted;
+  state.counters["arena_rebuilds"] = benchmark::Counter(static_cast<double>(
+      chain.run_stats().arena_rebuilds - before.arena_rebuilds));
+  state.counters["tail_words"] = benchmark::Counter(static_cast<double>(
+      chain.run_stats().tail_words - before.tail_words));
   state.counters["accept_rate"] = benchmark::Counter(
       steps > 0 ? static_cast<double>(accepts - accepts0) /
                       static_cast<double>(steps)
@@ -144,21 +113,18 @@ void replica_band_impl(benchmark::State& state, core::Params params) {
 
 // λ = γ = 4: the separated regime, where chains accept about 6% of
 // proposals.
-void BM_ReplicaBand(benchmark::State& state) {
-  replica_band_impl(state, core::Params{4.0, 4.0, true});
+void BM_ChainRun(benchmark::State& state) {
+  chain_run_impl(state, core::Params{4.0, 4.0, true});
 }
-BENCHMARK(BM_ReplicaBand)
-    ->ArgPair(400, 1)
-    ->ArgPair(400, 8)
-    ->ArgPair(1600, 8);
+BENCHMARK(BM_ChainRun)->Arg(400);
 
 // Fig. 3's λ = 4, γ = 1 cell at its n = 100: compressed and integrated,
 // accepting about 85% of proposals, so the accept path (arena and
-// position updates) dominates the single-chain walk.
-void BM_ReplicaBandGamma1(benchmark::State& state) {
-  replica_band_impl(state, core::Params{4.0, 1.0, true});
+// position updates) dominates the walk.
+void BM_ChainRunGamma1(benchmark::State& state) {
+  chain_run_impl(state, core::Params{4.0, 1.0, true});
 }
-BENCHMARK(BM_ReplicaBandGamma1)->ArgPair(100, 1);
+BENCHMARK(BM_ChainRunGamma1)->Arg(100);
 
 void BM_PropertyCheck_Reference(benchmark::State& state) {
   core::SeparationChain chain = make_chain(100, 7);

@@ -2,14 +2,17 @@
 # Records one point of the kernel-performance trajectory: runs the
 # old-vs-new step/locality/count microbenches of bench_kernels with
 # --benchmark_format=json and distills machine note + items/sec (+ the
-# probes_per_step counter) into a stable, diff-friendly JSON file.
+# probes_per_step counter) into a stable, diff-friendly JSON file. When
+# taskset exists, the benchmark runs pinned to CPU 0 (record and
+# compare alike): unpinned rows on a shared box swing past the compare
+# tolerance between back-to-back runs of one build.
 #
 # Usage: scripts/bench_kernels_snapshot.sh [build-dir] [out-file]
 #   build-dir  CMake build tree holding bench/bench_kernels (default: build)
 #   out-file   snapshot destination (default: BENCH_kernels.json)
 #
 #        scripts/bench_kernels_snapshot.sh --compare [--tolerance PCT] \
-#            [--counters] [build-dir] [baseline]
+#            [build-dir] [baseline]
 #   Re-measures and prints a WARN line per benchmark whose items/sec
 #   dropped more than PCT percent (default 25) below the committed
 #   baseline (default: BENCH_kernels.json). By default perf drift
@@ -19,19 +22,11 @@
 #   tolerance (for perf-gated CI lanes). Rows on one side only print as
 #   NEW: (this run only) or REMOVED: (baseline only); both are
 #   informational and never trip SOPS_BENCH_STRICT.
-#
-#   --counters additionally checks the band engine's execution-path
-#   counters: on the AVX2 tier (CPU reports avx2, SOPS_FORCE_SCALAR
-#   unset) the BM_ReplicaBand SIMD-step fraction must stay >= 90% at
-#   width 8 — a silent fall-back to the scalar path would
-#   otherwise masquerade as a mere perf regression. Warn-only by
-#   default; SOPS_BENCH_STRICT=1 makes a breach exit 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 compare=0
 tolerance=25
-counters=0
 while [[ ${1:-} == --* ]]; do
   case $1 in
     --compare) compare=1; shift ;;
@@ -39,9 +34,6 @@ while [[ ${1:-} == --* ]]; do
       [[ $compare == 1 ]] || { echo "error: --tolerance only applies to --compare" >&2; exit 2; }
       tolerance=${2:?--tolerance needs a percentage}
       shift 2 ;;
-    --counters)
-      [[ $compare == 1 ]] || { echo "error: --counters only applies to --compare" >&2; exit 2; }
-      counters=1; shift ;;
     *) echo "error: unknown flag $1" >&2; exit 2 ;;
   esac
 done
@@ -51,7 +43,9 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ReplicaBand/(400|1600)/(1|8)|BM_ReplicaBandGamma1/100/1|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$'
+filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ChainRun/400|BM_ChainRunGamma1/100|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$'
+pin=()
+if command -v taskset >/dev/null 2>&1; then pin=(taskset -c 0); fi
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
 trap 'rm -f "$raw"' EXIT
 
@@ -60,7 +54,7 @@ trap 'rm -f "$raw"' EXIT
 # Three repetitions with only the aggregates reported: the snapshot
 # records each benchmark's median run, so one noisy scheduling quantum
 # can't skew a recorded row (or trip a spurious --compare WARN).
-"$bin" --benchmark_filter="$filter" --benchmark_min_time=0.5 \
+"${pin[@]}" "$bin" --benchmark_filter="$filter" --benchmark_min_time=0.5 \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json --benchmark_out="$raw" \
   --benchmark_out_format=json > /dev/null
@@ -118,31 +112,12 @@ if (( compare )); then
        | select(.name as $n | $have | index($n) | not)
        | "REMOVED: \(.name): in the baseline, not in this run; refresh with scripts/bench_kernels_snapshot.sh"]
     | .[]' -r)
-  # Coverage gate: the perf rows only mean what they claim if the band
-  # actually ran its SIMD path. The fraction comes from the fresh raw
-  # run (median aggregate), never from the baseline.
-  coverage=
-  if (( counters )); then
-    if [[ -n ${SOPS_FORCE_SCALAR:-} ]] \
-        || ! grep -qm1 avx2 /proc/cpuinfo 2>/dev/null; then
-      echo "counters: non-AVX2 tier (or SOPS_FORCE_SCALAR set); skipping band SIMD-fraction check"
-    else
-      coverage=$(jq -r '
-        [.benchmarks[]
-         | select(.aggregate_name == "median")
-         | select(.name | test("^BM_ReplicaBand/[0-9]+/8_median$"))
-         | select((.simd_fraction // 0) < 0.90)
-         | "WARN: \(.name | sub("_median$"; "")) SIMD-step fraction \((.simd_fraction // 0) * 1000 | floor / 10)% < 90% — band fell back to scalar"]
-        | .[]' "$raw")
-      [[ -z $coverage ]] || printf '%s\n' "$coverage"
-    fi
-  fi
   [[ -z $warnings ]] || printf '%s\n' "$warnings"
   [[ -z $additions ]] || printf '%s\n' "$additions"
   [[ -z $removals ]] || printf '%s\n' "$removals"
   if [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 \
-        && ( -n $warnings || -n $coverage ) ]]; then
-    echo "FAIL: kernel perf regression beyond ${tolerance}% or band SIMD coverage below 90% (SOPS_BENCH_STRICT=1)" >&2
+        && -n $warnings ]]; then
+    echo "FAIL: kernel perf regression beyond ${tolerance}% (SOPS_BENCH_STRICT=1)" >&2
     exit 1
   fi
   echo "kernel perf comparison done ($( [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] && echo strict || echo warn-only ), threshold ${tolerance}%)"

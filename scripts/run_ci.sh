@@ -15,8 +15,8 @@
 # the util::record pinned-bytes and mutation-fuzz tests) and the step
 # kernel's (core) in <build-dir>-asan and runs them with
 # UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
-# behaviour on a refusal path or in the band's arena walk fails CI, not
-# only a wrong exception or trajectory. A
+# behaviour on a refusal path or in SeparationChain::run's arena walk
+# fails CI, not only a wrong exception or trajectory. A
 # ThreadSanitizer tier rebuilds the test binaries that start threads
 # (thread pool, engine, shard, checkpoint, harness, service) in
 # <build-dir>-tsan and runs their label tiers, so a data race fails CI.
@@ -63,18 +63,6 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 echo "== ctest model tier (registry + alignment seam)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L model
 
-echo "== replica-band scalar fallback (SOPS_FORCE_SCALAR=1)"
-# The default ctest pass above exercises the AVX2 path (on hardware that
-# has it); this one pins the scalar fallback to the same byte-identity
-# contract. The band suite carries the width-1 (single-chain) cases too.
-# The binary runs directly because the ctest registrations were
-# discovered without the env override.
-SOPS_FORCE_SCALAR=1 "$build_dir"/tests/replica_band_test \
-  --gtest_brief=1
-SOPS_FORCE_SCALAR=1 "$build_dir"/tests/engine_test \
-  --gtest_brief=1 --gtest_filter='Ensemble.Banded*'
-echo "ok: band equivalence tests pass with SIMD disabled"
-
 echo "== alignment smoke (report vs committed golden)"
 "$build_dir"/bench/bench_alignment_phase_diagram --threads 1 \
   >/tmp/sops_alignment_smoke.$$.txt
@@ -103,13 +91,10 @@ cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \
 cmake --build "${build_dir}-asan" -j "$jobs" --target shard_test \
   checkpoint_test service_test model_test alignment_test record_test \
   record_fuzz_test codec_golden_test locality_test markov_chain_test \
-  chain_param_test neighborhood_test replica_band_test particle_system_test
+  chain_param_test neighborhood_test chain_run_test particle_system_test
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
   -L 'shard|checkpoint|service|model|record|core'
-# The band's scalar walks too: with SIMD off every lane runs them.
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 SOPS_FORCE_SCALAR=1 \
-  "${build_dir}-asan"/tests/replica_band_test --gtest_brief=1
 
 echo "== TSan tier (engine|shard|checkpoint|harness|service under ${build_dir}-tsan)"
 # No core test or src/core file starts a thread, so the core tier stays
@@ -124,7 +109,6 @@ ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
 echo "== kernel perf vs recorded snapshot ($(
   [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] \
     && echo "strict: SOPS_BENCH_STRICT=1" || echo warn-only))"
-scripts/bench_kernels_snapshot.sh --compare --counters "$build_dir" \
-  BENCH_kernels.json
+scripts/bench_kernels_snapshot.sh --compare "$build_dir" BENCH_kernels.json
 
 echo "PASS: CI green"

@@ -1,17 +1,50 @@
 #include "src/core/markov_chain.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/core/neighborhood.hpp"
-#include "src/core/replica_band.hpp"
 
 namespace sops::core {
 
+using lattice::EdgeRing;
 using lattice::Node;
 using system::Color;
+using system::NeighborhoodGather;
 using system::ParticleIndex;
 using system::ParticleSystem;
+
+namespace {
+
+// An arena cell is one 32-bit occupancy slot:
+//
+//   | 31..28 color ^ 0xF | 27..24 zero | 23..0 index+1 |
+//
+// 0 encodes an empty cell, so `cell != 0` is the occupancy bit and
+// `(cell & kCellIndexMask) - 1` is the particle index, kNoParticle on an
+// empty cell. The nibble is exactly the XOR mask NeighborhoodGather
+// applies to its all-0xF default nibbles (0 for an empty cell), so
+// gathered nibbles fold into a NeighborhoodView with XOR alone.
+constexpr std::uint32_t kCellIndexMask = (1u << 24) - 1;
+constexpr int kNibbleShift = 28;
+
+constexpr std::uint32_t encode_cell(std::uint32_t index,
+                                    std::uint32_t color) noexcept {
+  return (index + 1) | ((color ^ 0xFu) << kNibbleShift);
+}
+
+// pcell_ packs a particle's cell index below bit 28 with its nibble.
+constexpr std::uint32_t kPackedIndexMask = (1u << kNibbleShift) - 1;
+
+// The arena spans the bounding box plus kArenaMargin cells on each side,
+// and a move that lands within kArenaSlack cells of an edge rebuilds it
+// around the new box.
+constexpr std::int64_t kArenaMargin = 8;
+constexpr std::int64_t kArenaSlack = 3;
+
+}  // namespace
 
 double move_weight_reference(const ParticleSystem& sys, const Params& p,
                              Node l, int dir) {
@@ -167,8 +200,244 @@ bool SeparationChain::step_reference() {
 }
 
 void SeparationChain::run(std::uint64_t iterations) {
-  SeparationChain* const self = this;
-  ReplicaBand(std::span<SeparationChain* const>(&self, 1)).run(iterations);
+  if (iterations == 0) return;
+  // Sync the FlatMap on any exit, an exception included.
+  struct SyncOnExit {
+    ParticleSystem& sys;
+    ~SyncOnExit() { sys.sync_index(); }
+  } const sync_on_exit{sys_};
+  if (block_.empty()) {
+    block_.resize(kBlockSize);
+    raw_.resize(3 * kBlockSize);
+  }
+  if (!arena_ok_ || counters_.steps != arena_steps_) rebuild_arena();
+  while (iterations > 0) {
+    const auto count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(iterations, kBlockSize));
+    run_block(count);
+    iterations -= count;
+  }
+  arena_steps_ = counters_.steps;
+}
+
+void SeparationChain::run_block(std::size_t count) {
+  ++run_stats_.blocks;
+  decode_block(count);
+  const std::size_t from = arena_ok_ ? walk_arena(count) : 0;
+  if (from < count) {
+    // Ticks the arena cannot serve run through step()'s own body on the
+    // synced FlatMap.
+    sys_.sync_index();
+    for (std::size_t t = from; t < count; ++t) {
+      advance(block_[t].pi, block_[t].dir,
+              util::decode_uniform_open(block_[t].q));
+    }
+    run_stats_.flatmap_steps += count - from;
+  }
+  counters_.steps += count;
+}
+
+void SeparationChain::decode_block(std::size_t count) {
+  const std::uint64_t n = sys_.size();
+  const std::size_t words = 3 * count;
+  std::uint64_t* const raw = raw_.data();
+  rng_.fill(raw, words);
+  run_stats_.refill_words += words;
+  // Each proposal takes at least three words, so every refilled word is
+  // consumed before a rejection spill draws from the live generator.
+  std::size_t cursor = 0;
+  std::uint64_t tail = 0;
+  const auto take = [&]() noexcept {
+    if (cursor < words) return raw[cursor++];
+    ++tail;
+    return rng_.next();
+  };
+  for (std::size_t t = 0; t < count; ++t) {
+    Proposal& p = block_[t];
+    p.pi = static_cast<std::int32_t>(util::lemire_below(take, n));
+    p.dir = static_cast<std::int32_t>(util::lemire_below(take, 6));
+    p.q = take();
+  }
+  run_stats_.tail_words += tail;
+}
+
+void SeparationChain::rebuild_arena() {
+  arena_ok_ = false;
+  const std::size_t n = sys_.size();
+  if (n + 1 > kCellIndexMask) return;
+  std::int64_t xmin = std::numeric_limits<std::int64_t>::max();
+  std::int64_t xmax = std::numeric_limits<std::int64_t>::min();
+  std::int64_t ymin = xmin;
+  std::int64_t ymax = xmax;
+  for (const Node v : sys_.positions()) {
+    xmin = std::min<std::int64_t>(xmin, v.x);
+    xmax = std::max<std::int64_t>(xmax, v.x);
+    ymin = std::min<std::int64_t>(ymin, v.y);
+    ymax = std::max<std::int64_t>(ymax, v.y);
+  }
+  // Economy rule: connected blobs have bounding boxes of O(n^2) cells at
+  // the very worst (a zig-zag path), but a disconnected outlier can blow
+  // the box up arbitrarily, so refuse pathological boxes and let the
+  // FlatMap carry them. The packed index field bounds the plane too.
+  const std::int64_t w = (xmax - xmin + 1) + 2 * kArenaMargin;
+  const std::int64_t h = (ymax - ymin + 1) + 2 * kArenaMargin;
+  const std::int64_t cap = std::max<std::int64_t>(
+      std::int64_t{1} << 20, 32 * static_cast<std::int64_t>(n));
+  if (w * h > std::min<std::int64_t>(cap, kPackedIndexMask)) return;
+
+  x0_ = xmin - kArenaMargin;
+  y0_ = ymin - kArenaMargin;
+  w_ = w;
+  h_ = h;
+  cells_.assign(static_cast<std::size_t>(w * h), 0);
+  pcell_.resize(n);
+  const std::int64_t origin = -y0_ * w_ - x0_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node v = sys_.positions()[i];
+    const std::uint32_t color = sys_.colors()[i];
+    const auto idx = static_cast<std::uint32_t>(
+        origin + static_cast<std::int64_t>(v.y) * w_ + v.x);
+    pcell_[i] = idx | ((color ^ 0xFu) << kNibbleShift);
+    cells_[idx] = encode_cell(static_cast<std::uint32_t>(i), color);
+  }
+  const auto offset = [this](Node v) {
+    return static_cast<std::int32_t>(static_cast<std::int64_t>(v.y) * w_ +
+                                     v.x);
+  };
+  for (int d = 0; d < 6; ++d) {
+    const auto dir = static_cast<std::size_t>(d);
+    lp_off_[dir] = offset(lattice::neighbor(Node{}, d));
+    const EdgeRing ring = EdgeRing::around(Node{}, d);
+    for (std::size_t k = 0; k < 8; ++k) {
+      ring_off_[dir][k] = offset(ring.nodes[k]);
+    }
+  }
+  ++run_stats_.arena_rebuilds;
+  arena_ok_ = true;
+}
+
+inline bool SeparationChain::arena_move(ParticleIndex pi, int dir, int de,
+                                        int dh) {
+  const Node dst = lattice::neighbor(sys_.position(pi), dir);
+  sys_.move_unindexed(pi, dst, de, dh);
+  std::uint32_t* const cells = cells_.data();
+  std::uint32_t& pc = pcell_[static_cast<std::size_t>(pi)];
+  const std::int64_t base = pc & kPackedIndexMask;
+  const std::int64_t lp_cell = base + lp_off_[dir];
+  cells[lp_cell] = cells[base];
+  cells[base] = 0;
+  pc = (pc & ~kPackedIndexMask) | static_cast<std::uint32_t>(lp_cell);
+  if (dst.x - x0_ < kArenaSlack || x0_ + w_ - 1 - dst.x < kArenaSlack ||
+      dst.y - y0_ < kArenaSlack || y0_ + h_ - 1 - dst.y < kArenaSlack) {
+    rebuild_arena();
+  }
+  return arena_ok_;
+}
+
+inline void SeparationChain::arena_swap(ParticleIndex pi, ParticleIndex qj,
+                                        int dir, int sx) {
+  sys_.swap_unindexed(pi, qj, -sx);
+  // The cell exchange masks to a no-op for a like-colored swap, matching
+  // swap_unindexed leaving the positions untouched.
+  std::uint32_t* const cells = cells_.data();
+  std::uint32_t& pci = pcell_[static_cast<std::size_t>(pi)];
+  const std::int64_t base = pci & kPackedIndexMask;
+  const std::int64_t lp_cell = base + lp_off_[dir];
+  const std::uint32_t a = cells[base];
+  const std::uint32_t b = cells[lp_cell];
+  const std::uint32_t mask =
+      ((a ^ b) >> kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
+  cells[base] = a ^ ((a ^ b) & mask);
+  cells[lp_cell] = b ^ ((a ^ b) & mask);
+  if (mask != 0) {
+    // Different colors: the particles exchanged cells; each keeps its
+    // own color nibble, only the address parts swap.
+    std::uint32_t& pcj = pcell_[static_cast<std::size_t>(qj)];
+    const std::uint32_t addr_i = pci & kPackedIndexMask;
+    pci = (pci & ~kPackedIndexMask) | (pcj & kPackedIndexMask);
+    pcj = (pcj & ~kPackedIndexMask) | addr_i;
+  }
+}
+
+std::size_t SeparationChain::walk_arena(std::size_t count) {
+  const bool swaps = params_.swaps_enabled;
+  const double* const pow_l = pow_lambda_ + kMaxExp;
+  const double* const pow_g = pow_gamma_ + kMaxExp;
+  const Proposal* const block = block_.data();
+  // Block-local counts, added to counters_ once at the end.
+  Counters c;
+  const std::uint32_t* cells = cells_.data();
+  std::size_t stop = count;
+
+  for (std::size_t t = 0; t < count; ++t) {
+    const ParticleIndex pi = block[t].pi;
+    const int dir = block[t].dir;
+    const double q = util::decode_uniform_open(block[t].q);
+
+    const std::uint32_t pc = pcell_[static_cast<std::size_t>(pi)];
+    const std::int64_t base = pc & kPackedIndexMask;
+    const std::int32_t* const ring = ring_off_[dir];
+    unsigned occ = 1u << NeighborhoodGather::kNodeL;
+    std::uint64_t nib = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::uint32_t cl = cells[base + ring[k]];
+      occ |= static_cast<unsigned>(cl != 0) << k;
+      nib ^= static_cast<std::uint64_t>(cl >> kNibbleShift) << (4 * k);
+    }
+    const std::uint32_t lpc = cells[base + lp_off_[dir]];
+    occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
+    nib ^= static_cast<std::uint64_t>(lpc >> kNibbleShift) << 36;
+    nib ^= static_cast<std::uint64_t>(pc >> kNibbleShift) << 32;
+    NeighborhoodView nb;
+    nb.occ = static_cast<std::uint16_t>(occ);
+    nb.color_nibbles ^= nib;
+    nb.p_at_l = pi;
+    nb.p_at_lp = static_cast<ParticleIndex>(lpc & kCellIndexMask) - 1;
+
+    if (!nb.lp_occupied()) {
+      ++c.move_proposals;
+      const Color ci = nb.color_at(NeighborhoodView::kNodeL);
+      const int e = nb.e();
+      if (e == 5) {
+        ++c.rejected_five;
+        continue;
+      }
+      if (!nb.move_locality_ok()) {
+        ++c.rejected_locality;
+        continue;
+      }
+      const int ei = nb.e_i(ci);
+      const int ep = nb.e_prime();
+      const int epi = nb.e_prime_i(ci);
+      if (q >= pow_l[ep - e] * pow_g[epi - ei]) {
+        ++c.rejected_metropolis;
+        continue;
+      }
+      ++c.moves_accepted;
+      if (!arena_move(pi, dir, ep - e, (ep - epi) - (e - ei))) {
+        stop = t + 1;
+        break;
+      }
+      cells = cells_.data();  // a drift rebuild may have moved the arena
+      continue;
+    }
+
+    if (!swaps) continue;
+    ++c.swap_proposals;
+    const int sx = nb.swap_exponent();
+    if (q >= pow_g[sx]) continue;
+    ++c.swaps_accepted;
+    arena_swap(pi, nb.p_at_lp, dir, sx);
+  }
+
+  counters_.move_proposals += c.move_proposals;
+  counters_.moves_accepted += c.moves_accepted;
+  counters_.rejected_five += c.rejected_five;
+  counters_.rejected_locality += c.rejected_locality;
+  counters_.rejected_metropolis += c.rejected_metropolis;
+  counters_.swap_proposals += c.swap_proposals;
+  counters_.swaps_accepted += c.swaps_accepted;
+  return stop;
 }
 
 void SeparationChain::run_reference(std::uint64_t iterations) {

@@ -14,7 +14,9 @@
 // paper's analysis covers k = 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/core/locality.hpp"
 #include "src/sops/particle_system.hpp"
@@ -84,13 +86,12 @@ class SeparationChain {
   /// cross-checking and old-vs-new benchmarks.
   bool step_reference();
 
-  /// Runs `iterations` steps on a width-1 ReplicaBand
-  /// (replica_band.hpp): block RNG refill, proposal pre-decode, and an
-  /// execute walk over a dense occupancy arena. Byte-identical to the
-  /// same number of step() calls — same trajectory, counters, and final
-  /// RNG state. Long-lived owners (model::make_separation) keep one band
-  /// per trajectory instead of calling this, so its arena survives
-  /// between segments.
+  /// Runs `iterations` steps, byte-identical to the same number of
+  /// step() calls: same trajectory, counters, and final RNG state. Each
+  /// block of kBlockSize proposals is drawn in one bulk RNG refill and
+  /// decoded, then walked over a dense occupancy arena (below) instead
+  /// of the FlatMap. The chain keeps its arena across calls, so a
+  /// trajectory split into many short run() calls builds it once.
   void run(std::uint64_t iterations);
 
   /// Runs `iterations` reference-path steps.
@@ -108,20 +109,73 @@ class SeparationChain {
   void set_rng_state(const util::Rng::State& s) noexcept {
     rng_.set_state(s);
   }
-  void set_counters(const Counters& c) noexcept { counters_ = c; }
+  /// Also drops run()'s arena, which is tied to the step count: a count
+  /// set back to the one run() left would make a stale arena look
+  /// current.
+  void set_counters(const Counters& c) noexcept {
+    counters_ = c;
+    arena_ok_ = false;
+  }
+
+  /// Telemetry of run() only; never feeds back into any trajectory.
+  struct RunStats {
+    std::uint64_t blocks = 0;          ///< decoded blocks
+    std::uint64_t refill_words = 0;    ///< bulk-refilled raw words
+    std::uint64_t tail_words = 0;      ///< Lemire-rejection spill draws
+    std::uint64_t arena_rebuilds = 0;  ///< arena (re)builds
+    std::uint64_t flatmap_steps = 0;   ///< steps run by advance()
+  };
+  [[nodiscard]] const RunStats& run_stats() const noexcept {
+    return run_stats_;
+  }
+
+  /// Proposals per decoded block of run(). Never changes a trajectory.
+  static constexpr std::size_t kBlockSize = 256;
 
  private:
-  // The replica band (replica_band.hpp) is the run loop, for one chain
-  // or a lock-step group of siblings: it reads rng_/sys_/params_ and
-  // the Metropolis pow tables, flushes block-local counters into
-  // counters_, and runs every tick its arena cannot serve through
-  // advance(). step() stays the single-step reference twin.
-  friend class ReplicaBand;
-
   /// step() after its three draws: executes one decoded proposal on the
   /// FlatMap occupancy index, which must be current. Counts into
   /// counters_ every field but steps, which the caller owns.
   bool advance(system::ParticleIndex pi, int dir, double q);
+
+  // ---- run(): decode a block, walk it over the arena ------------------
+  //
+  // While run() executes, a valid arena is the occupancy: accepted moves
+  // and swaps go through arena_move / arena_swap, which update the
+  // arena and, through ParticleSystem's index-free mutators, positions,
+  // e(σ) and h(σ), but not the FlatMap. Ticks the arena cannot serve (a
+  // refused arena, or a drift rebuild that declines mid-block) run
+  // through advance() on the synced FlatMap, and run() syncs the map
+  // on every exit, so every reader outside run() sees a current one.
+
+  struct Proposal {
+    std::int32_t pi;
+    std::int32_t dir;
+    std::uint64_t q;  ///< the raw Metropolis word
+  };
+
+  void run_block(std::size_t count);
+  /// Draws block_[0, count): one Rng::fill of 3·count words, decoded by
+  /// the shared util::lemire_below, rejection spills drawn from the
+  /// live generator — the draws count step() calls would make.
+  void decode_block(std::size_t count);
+  /// Walks block_[0, count) over the arena. Returns count, or the tick
+  /// after the one whose drift rebuild declined the arena.
+  std::size_t walk_arena(std::size_t count);
+  /// The arena update for an accepted move of `pi` toward `dir` with
+  /// e(σ)/h(σ) deltas `de`/`dh`, then the guard-band rebuild. Returns
+  /// false when that rebuild declined the arena. Force-inlined: it runs
+  /// on every accept.
+  [[gnu::always_inline]] inline bool arena_move(system::ParticleIndex pi,
+                                                int dir, int de, int dh);
+  /// The arena update for an accepted swap of `pi` with `qj` at
+  /// pi + dir, swap exponent `sx`.
+  [[gnu::always_inline]] inline void arena_swap(system::ParticleIndex pi,
+                                                system::ParticleIndex qj,
+                                                int dir, int sx);
+  /// (Re)builds the arena around the bounding box; arena_ok_ = false
+  /// when the box is uneconomical (see the economy rule there).
+  void rebuild_arena();
 
   [[nodiscard]] double pow_lambda(int k) const noexcept {
     return pow_lambda_[static_cast<std::size_t>(k + kMaxExp)];
@@ -140,6 +194,25 @@ class SeparationChain {
   Counters counters_;
   double pow_lambda_[2 * kMaxExp + 1];
   double pow_gamma_[2 * kMaxExp + 1];
+
+  // run()'s state, derived from the configuration. Buffers are sized on
+  // the first run().
+  std::vector<Proposal> block_;
+  std::vector<std::uint64_t> raw_;
+  // The arena: a dense w_ × h_ plane of 32-bit cells over the bounding
+  // box plus a margin, box origin (x0_, y0_). pcell_[i] packs particle
+  // i's cell index (low 28 bits) with its encoded color nibble.
+  std::vector<std::uint32_t> cells_;
+  std::vector<std::uint32_t> pcell_;
+  std::int64_t x0_ = 0, y0_ = 0, w_ = 0, h_ = 0;
+  std::int32_t ring_off_[6][8] = {};  ///< [dir][k]: EdgeRing node k
+  std::int32_t lp_off_[6] = {};       ///< [dir]: l' = l + dir
+  bool arena_ok_ = false;
+  // counters_.steps when run() last returned: the arena is current only
+  // while the step counter still reads it, so a step() between run()
+  // calls makes the next run() rebuild.
+  std::uint64_t arena_steps_ = 0;
+  RunStats run_stats_;
 };
 
 /// The PODC '16 compression chain: M with γ = 1 on a homogeneous system.

@@ -148,20 +148,6 @@ struct ChainJob {
   /// downcast via model::separation_chain() etc. Runs on the worker:
   /// write only to slots keyed by Task::index.
   std::function<void(const Task&, const model::ChainModel&)> on_sample;
-
-  /// Across-replica banding (core::ReplicaBand): when ≥ 2, consecutive
-  /// replicas of the same grid cell are grouped into lock-step bands of
-  /// up to this many lanes (clamped to ReplicaBand::kMaxWidth = 8) and
-  /// one band is one pool task. Ragged tails, non-bandable models
-  /// (band_chain() == nullptr), and lanes whose parameters disagree fall
-  /// back to each replica running alone inside the same grouping. Purely an
-  /// execution strategy: the band's byte-identity contract makes every
-  /// series, aggregate, and wire byte identical to the 0/1 setting,
-  /// where each replica runs alone (a separation chain as a width-1
-  /// band).
-  /// The checkpointed runner (src/checkpoint) ignores it — mid-task
-  /// snapshot points are per-lane, so that path runs each replica alone.
-  std::size_t replica_band = 0;
 };
 
 /// The protocol `job` prescribes for `task`: the per-task override when

@@ -54,9 +54,6 @@ int run(const Spec& spec, int argc, char** argv) {
   sweep.job.name = spec.name;
   if (sweep.chain) {
     sweep.job.model = sweep.chain->model;
-    // --replica-band is an execution knob, not part of the job identity:
-    // it never rides the wire, and results are byte-identical either way.
-    sweep.chain->replica_band = opt.replica_band;
   }
   engine::TaskFn fn = sweep.fn;
   if (!fn) {
@@ -120,12 +117,6 @@ int run(const Spec& spec, int argc, char** argv) {
             return checkpoint::run_tasks(pool, tasks, sweep.job, chain, fn,
                                          policy, &sink, sweep.aux);
           });
-    } else if (!sweep.fn && sweep.chain) {
-      // Chain-protocol sweeps go through the ChainJob overload so the
-      // replica_band knob can group same-cell replicas into lock-step
-      // bands; byte-identical to the TaskFn path at every setting.
-      results = shard::run_or_merge(sweep.job, modes, pool, *sweep.chain,
-                                    &sink, sweep.aux);
     } else {
       results = shard::run_or_merge(sweep.job, modes, pool, fn, &sink,
                                     sweep.aux);

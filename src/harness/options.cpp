@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "src/core/replica_band.hpp"
 #include "src/util/cli.hpp"
 
 namespace sops::harness {
@@ -40,13 +39,6 @@ Options parse_options(int argc, char** argv, bool with_shard,
   cli.add_option("threads", "worker threads (0 = hardware concurrency)", "0");
   cli.add_option("telemetry", "append per-task JSONL records to this file",
                  "");
-  cli.add_option("replica-band",
-                 "advance up to N (at most 8) same-cell replicas per core "
-                 "in lock-step (core::ReplicaBand; 1 (default) = each "
-                 "replica runs alone; the paper's grids have one replica "
-                 "per cell, so N >= 2 changes nothing on them; "
-                 "byte-identical output)",
-                 "1");
   if (with_shard) {
     cli.add_option("shard", "run shard k of n ('k/n'); needs --shard-out", "");
     cli.add_option("task-range",
@@ -102,16 +94,6 @@ Options parse_options(int argc, char** argv, bool with_shard,
       throw std::invalid_argument("cli: --threads out of range (max 4096)");
     }
     opt.threads = static_cast<unsigned>(threads);
-    const std::uint64_t band = cli.unsigned_integer("replica-band");
-    // The band engine tops out at kMaxWidth lanes (one 8-lane SIMD
-    // group); reject out-of-range widths at the CLI instead of silently
-    // clamping hours into a sweep.
-    if (band < 1 || band > core::ReplicaBand::kMaxWidth) {
-      throw std::invalid_argument(
-          "cli: --replica-band out of range (legal range [1,8]; 1 = "
-          "each replica runs alone)");
-    }
-    opt.replica_band = static_cast<std::size_t>(band);
 
     if (with_shard) {
       if (!cli.str("shard").empty()) {

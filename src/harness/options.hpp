@@ -7,12 +7,6 @@
 //   --threads N    engine worker threads (0 = hardware concurrency);
 //                  results are bit-identical for every N — see src/engine
 //   --telemetry F  append per-task JSONL telemetry records to F
-//   --replica-band N  advance up to N same-cell replicas in lock-step
-//                  per core (core::ReplicaBand) for chain-protocol
-//                  sweeps; legal range [1,8], 1 (default) = each
-//                  replica runs alone; output is byte-identical at
-//                  every width. The paper's grids have one replica per
-//                  cell, so N >= 2 changes nothing on them
 //
 // Grid-shaped harnesses additionally expose the multi-host sharding
 // surface (parse_options(..., with_shard = true)):
@@ -54,14 +48,6 @@ struct Options {
   std::uint64_t seed = 1;
   unsigned threads = 0;    ///< engine pool size; 0 = hardware concurrency
   std::string telemetry;   ///< JSONL telemetry path; empty = disabled
-  /// --replica-band N: lock-step band width for chain-protocol sweeps
-  /// (engine::ChainJob::replica_band). Legal range [1, 8] at the CLI
-  /// (core::ReplicaBand::kMaxWidth lanes); 1 (default) = each replica
-  /// runs alone. Bands group replicas of one grid cell, and the paper's
-  /// grids have one replica per cell, so N >= 2 changes nothing on
-  /// them. An execution knob only — output is byte-identical at every
-  /// width.
-  std::size_t replica_band = 1;
 
   // Sharding surface (populated only for with_shard harnesses).
   bool shard_set = false;          ///< --shard k/n given

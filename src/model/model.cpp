@@ -118,6 +118,13 @@ std::vector<Target> equilibrium_targets(std::uint64_t start,
   return targets;
 }
 
+namespace {
+
+// One step of the walk: measures every target from `next` on that the
+// model has reached, appending to `series` and calling `on_sample`
+// after each, then returns the steps left to the next target (0 once
+// the list is done). A target behind the model throws
+// std::invalid_argument; the model stays where it is.
 std::uint64_t walk_step(
     ChainModel& model, std::span<const Target> targets, std::size_t& next,
     std::vector<core::Measurement>& series,
@@ -136,6 +143,8 @@ std::uint64_t walk_step(
   }
   return 0;
 }
+
+}  // namespace
 
 std::vector<core::Measurement> walk(
     ChainModel& model, std::span<const Target> targets,

@@ -33,9 +33,7 @@ class ModelError : public std::runtime_error {
 };
 
 /// One simulation trajectory behind a model-agnostic interface. Always
-/// held by unique_ptr: implementations may pin internal references
-/// (e.g. a replica band bound to the wrapped chain), so the object is
-/// neither copyable nor movable.
+/// held by unique_ptr; neither copyable nor movable.
 class ChainModel {
  public:
   ChainModel() = default;
@@ -73,20 +71,14 @@ class ChainModel {
   /// restorable state.
   [[nodiscard]] virtual std::vector<std::string> save_state() const = 0;
 
-  /// A no-op that no built-in model overrides: batched execution sizes
-  /// its own blocks (core::ReplicaBand::kDefaultBlockSize), and block
-  /// size never changes a trajectory. Kept so decorators that forward
-  /// every virtual to a wrapped model still compile.
+  /// Two hooks no built-in model overrides, kept because decorators
+  /// that forward every virtual to a wrapped model (the benchmark's
+  /// trace decorator) override them. set_pipeline_block is a no-op:
+  /// SeparationChain::run decodes fixed blocks
+  /// (core::SeparationChain::kBlockSize), and block size never changes
+  /// a trajectory. band_chain returns nullptr: no executor outside a
+  /// model advances its chain.
   virtual void set_pipeline_block(std::size_t /*block*/) {}
-
-  /// Band-execution hook: the live separation chain when this model can
-  /// be advanced by core::ReplicaBand in lock-step with sibling replicas
-  /// (byte-identical to run(), per the band's contract), nullptr for
-  /// models without a bandable chain. A caller that takes the chain owns
-  /// the trajectory until it next calls run()/measure() through the
-  /// model — mixing band steps *between* those calls is fine (a band
-  /// rebuilds its derived state on entry whenever a chain's step counter
-  /// moved outside it), interleaving them is not.
   [[nodiscard]] virtual core::SeparationChain* band_chain() noexcept {
     return nullptr;
   }
@@ -95,8 +87,8 @@ class ChainModel {
 // ---- Measurement protocols ---------------------------------------------
 //
 // Every protocol lowers to a list of absolute targets and one walk runs
-// that list, so the plain, banded and checkpointed engine paths and the
-// two drivers below cannot disagree about where a chain is measured.
+// that list, so the plain and checkpointed engine paths and the two
+// drivers below cannot disagree about where a chain is measured.
 
 /// One point of a lowered protocol: run to absolute iteration `at`, then
 /// measure there when `record` is set. The one unrecorded target is an
@@ -118,16 +110,6 @@ struct Target {
                                                       std::uint64_t burn_in,
                                                       std::uint64_t interval,
                                                       std::size_t samples);
-
-/// One step of the walk: measures every target from `next` on that the
-/// model has reached, appending to `series` and calling `on_sample`
-/// after each, then returns the steps left to the next target (0 once
-/// the list is done). A target behind the model throws
-/// std::invalid_argument; the model stays where it is.
-std::uint64_t walk_step(
-    ChainModel& model, std::span<const Target> targets, std::size_t& next,
-    std::vector<core::Measurement>& series,
-    const std::function<void(const ChainModel&)>& on_sample);
 
 /// Walks the model through `targets`, resuming at target series.size()
 /// (a resumed walk carries the measurements it already took), and

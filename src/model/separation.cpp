@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/core/coloring.hpp"
-#include "src/core/replica_band.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/model/registry.hpp"
 #include "src/sops/invariants.hpp"
@@ -25,17 +24,7 @@ class SeparationModel final : public ChainModel {
     return kSeparationTag;
   }
 
-  void run(std::uint64_t iterations) override {
-    // One width-1 band per trajectory, created lazily so it binds the
-    // chain at its final (heap) address. Its arena survives between
-    // run() calls until the step counter moves outside the band.
-    if (!band_) {
-      core::SeparationChain* const self = &chain_;
-      band_ = std::make_unique<core::ReplicaBand>(
-          std::span<core::SeparationChain* const>(&self, 1));
-    }
-    band_->run(iterations);
-  }
+  void run(std::uint64_t iterations) override { chain_.run(iterations); }
 
   [[nodiscard]] std::uint64_t steps() const noexcept override {
     return chain_.counters().steps;
@@ -81,13 +70,6 @@ class SeparationModel final : public ChainModel {
     return out;
   }
 
-  // Bandable: every band rebuilds its arena on entry when a bound
-  // chain's step counter moved outside it, so alternating an external
-  // band's steps with run()/measure() keeps every path byte-identical.
-  [[nodiscard]] core::SeparationChain* band_chain() noexcept override {
-    return &chain_;
-  }
-
   [[nodiscard]] const core::SeparationChain& chain() const noexcept {
     return chain_;
   }
@@ -95,7 +77,6 @@ class SeparationModel final : public ChainModel {
  private:
   core::SeparationChain chain_;
   std::int64_t pmin_;
-  std::unique_ptr<core::ReplicaBand> band_;
 };
 
 std::unique_ptr<ChainModel> restore_separation(

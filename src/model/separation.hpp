@@ -1,6 +1,7 @@
 // The separation chain behind the ChainModel seam — the paper's own
-// model: one persistent width-1 core::ReplicaBand per trajectory, p_min
-// computed once, Measurement math byte-identical to core::measure.
+// model: run() is SeparationChain::run, whose arena the chain keeps
+// between calls, p_min computed once, Measurement math byte-identical
+// to core::measure.
 #pragma once
 
 #include <memory>

@@ -101,19 +101,8 @@ std::optional<std::vector<engine::TaskResult>> run_or_merge(
     const JobSpec& job, const Modes& modes, engine::ThreadPool& pool,
     const engine::ChainJob& protocol, engine::ProgressSink* sink,
     const AuxFn& aux) {
-  // Through run_chain_ensemble, not make_task_fn, so the protocol's
-  // replica_band knob takes effect; the band's byte-identity contract
-  // keeps the results — and thus the wire bytes — unchanged by it.
-  return run_or_merge(
-      job, modes,
-      [&pool, &protocol, sink, &aux](std::span<const engine::Task> tasks) {
-        std::vector<engine::TaskResult> results =
-            engine::run_chain_ensemble(pool, tasks, protocol, sink);
-        if (aux) {
-          for (engine::TaskResult& r : results) r.aux = aux(r);
-        }
-        return results;
-      });
+  return run_or_merge(job, modes, pool, engine::make_task_fn(protocol), sink,
+                      aux);
 }
 
 std::vector<std::string> list_shard_files(const std::string& dir) {

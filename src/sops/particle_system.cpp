@@ -20,7 +20,6 @@ ParticleSystem::ParticleSystem(std::span<const Node> positions,
   // Pre-size to >= 2x the particle count: the count is fixed for the
   // lifetime of the system, so no rehash can ever land mid-trajectory.
   occupancy_.reserve(positions_.size() * 2);
-  indexed_positions_ = positions_;
   for (std::size_t i = 0; i < positions_.size(); ++i) {
     if (colors_[i] >= kMaxColors) {
       throw std::invalid_argument("ParticleSystem: color out of range");
@@ -151,20 +150,12 @@ void ParticleSystem::apply_move(ParticleIndex i, Node to,
 
 void ParticleSystem::sync_index() noexcept {
   if (!index_stale_) return;
-  // Two passes: a displaced particle's new node may be another one's
-  // stale node. The table never holds more than n keys, for which it
-  // was reserved, so no insert can grow (or allocate) here.
-  const std::size_t n = positions_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (positions_[i] != indexed_positions_[i]) {
-      occupancy_.erase(lattice::pack(indexed_positions_[i]));
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (positions_[i] != indexed_positions_[i]) {
-      occupancy_.insert(lattice::pack(positions_[i]),
-                        static_cast<ParticleIndex>(i));
-    }
+  // The table was reserved for n keys, so no insert can grow (or
+  // allocate) here.
+  occupancy_.clear();
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    occupancy_.insert(lattice::pack(positions_[i]),
+                      static_cast<ParticleIndex>(i));
   }
   index_stale_ = false;
 }

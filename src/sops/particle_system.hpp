@@ -148,7 +148,7 @@ class ParticleSystem {
   void apply_swap(ParticleIndex i, ParticleIndex j);
 
   /// Index-free mutators for a caller that keeps its own occupancy
-  /// while it runs (the replica band's arena) and has checked the
+  /// while it runs (SeparationChain::run's arena) and has checked the
   /// preconditions itself. They take caller-supplied deltas (a
   /// heterogeneous swap's h(σ) delta is
   /// −NeighborhoodView::swap_exponent()) and update positions, e(σ) and
@@ -159,7 +159,7 @@ class ParticleSystem {
   void move_unindexed(ParticleIndex i, lattice::Node to,
                       std::int64_t edge_delta,
                       std::int64_t hetero_delta) noexcept {
-    mark_index_stale();
+    index_stale_ = true;
     positions_[static_cast<std::size_t>(i)] = to;
     edges_ += edge_delta;
     hetero_edges_ += hetero_delta;
@@ -169,17 +169,14 @@ class ParticleSystem {
     const auto a = static_cast<std::size_t>(i);
     const auto b = static_cast<std::size_t>(j);
     if (colors_[a] == colors_[b]) return;  // configuration unchanged
-    mark_index_stale();
+    index_stale_ = true;
     std::swap(positions_[a], positions_[b]);
     hetero_edges_ += hetero_delta;
   }
 
   /// Brings the occupancy index up to date after index-free mutations:
-  /// erases the stale node of every particle whose position changed,
-  /// then inserts its current one, at unchanged capacity. Costs one
-  /// sequential pass over the positions plus two table operations per
-  /// displaced particle, however often it moved. A no-op when the
-  /// index is current.
+  /// clears it and inserts all n positions, at unchanged capacity. A
+  /// no-op when the index is current.
   void sync_index() noexcept;
 
   /// Recolors particle `i` in place (spin/orientation flip for chains
@@ -223,24 +220,13 @@ class ParticleSystem {
                                                   std::int64_t* hetero) const
       noexcept;
 
-  // The first index-free mutation after a sync records the positions
-  // the index holds; indexed_positions_ is sized n at construction, so
-  // the copy never allocates.
-  void mark_index_stale() noexcept {
-    if (index_stale_) return;
-    indexed_positions_ = positions_;
-    index_stale_ = true;
-  }
-
   std::vector<lattice::Node> positions_;
   std::vector<Color> colors_;
   util::FlatMap<ParticleIndex> occupancy_;
   std::int64_t edges_ = 0;
   std::int64_t hetero_edges_ = 0;
   int num_colors_ = 1;
-  // While index_stale_: the positions the occupancy index still holds.
-  std::vector<lattice::Node> indexed_positions_;
-  bool index_stale_ = false;
+  bool index_stale_ = false;  ///< an index-free mutation since the sync
 };
 
 }  // namespace sops::system

@@ -42,7 +42,7 @@ struct SplitMix64 {
 /// words. `next` is invoked once, plus once per rejection, so the word
 /// consumption order is fully determined by (word values, bound). This
 /// is the single definition of the decode: Rng::below wraps it around
-/// the live generator, and the replica band wraps it around a
+/// the live generator, and SeparationChain::run wraps it around a
 /// pre-refilled block of raw outputs — guaranteeing both consume the
 /// identical underlying sequence.
 template <typename Next>
@@ -100,9 +100,9 @@ class Rng {
 
   /// Writes the next `count` raw outputs into `out` — exactly the words
   /// `count` successive next() calls would return, leaving the generator
-  /// in the identical post-state. The bulk refill behind the replica
-  /// band's scalar decode: the state lives in registers for the whole
-  /// loop instead of round-tripping through memory once per word.
+  /// in the identical post-state. The bulk refill behind
+  /// SeparationChain::run's decode: the state lives in registers for the
+  /// whole loop instead of round-tripping through memory once per word.
   void fill(std::uint64_t* out, std::size_t count) noexcept;
 
   /// Uniform double in [0, 1) with 53 random bits.

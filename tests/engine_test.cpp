@@ -259,118 +259,6 @@ TEST(Ensemble, PerTaskProtocolDrivesTheActualRun) {
   }
 }
 
-// The replica_band knob is an execution strategy, not a protocol: the
-// banded run must reproduce the scalar fingerprint bit for bit. Five
-// replicas per cell against a band width of 4 forces both a full band
-// and a ragged single-lane tail through the grouping.
-TEST(Ensemble, BandedExecutionIsByteIdenticalToScalar) {
-  GridSpec spec = small_spec();
-  spec.replicas = 5;
-  const auto tasks = grid_tasks(spec);
-  ChainJob job = small_job();
-  ThreadPool pool(2);
-  const std::string scalar =
-      fingerprint(run_chain_ensemble(pool, tasks, job));
-
-  job.replica_band = 4;
-  std::vector<int> hits(tasks.size(), 0);
-  job.on_sample = [&](const Task& t, const model::ChainModel& m) {
-    EXPECT_EQ(model::separation_chain(m).params().lambda, t.lambda);
-    ++hits[t.index];
-  };
-  const std::string banded =
-      fingerprint(run_chain_ensemble(pool, tasks, job));
-  EXPECT_EQ(banded, scalar);
-  for (const int h : hits) EXPECT_EQ(h, 3);  // one per checkpoint
-}
-
-// Per-task protocols give every lane of one band a different sampling
-// schedule, so the lock-step walk must mask lanes off and re-engage
-// them across measurement points — and still match scalar exactly.
-// Nine replicas per cell against band width 8 run one full 8-lane band
-// (the masked SIMD ticks, where the CPU has them) plus a width-1 tail.
-TEST(Ensemble, BandedPerTaskProtocolMatchesScalar) {
-  GridSpec spec = small_spec();
-  spec.replicas = 9;
-  const auto tasks = grid_tasks(spec);
-  ChainJob job = small_job();
-  job.checkpoints.clear();
-  job.protocol = [](const Task& task) {
-    ChainProtocol p;
-    p.burn_in = 100 + 137 * task.replica;
-    p.interval = 31 + 7 * task.replica;
-    p.samples = 2 + task.replica % 2;
-    return p;
-  };
-  ThreadPool pool(2);
-  const std::string scalar =
-      fingerprint(run_chain_ensemble(pool, tasks, job));
-  job.replica_band = 8;
-  const std::string banded =
-      fingerprint(run_chain_ensemble(pool, tasks, job));
-  EXPECT_EQ(banded, scalar);
-}
-
-// A bare burn-in (samples == 0) is one unrecorded target: lanes that
-// only burn in share bands with lanes that sample, and every series —
-// empty or not — matches the plain path. Nine replicas per cell at band
-// width 8: one full band plus a width-1 tail.
-TEST(Ensemble, BandedBareBurnInMatchesPlain) {
-  GridSpec spec = small_spec();
-  spec.replicas = 9;
-  const auto tasks = grid_tasks(spec);
-  ChainJob job = small_job();
-  job.checkpoints.clear();
-  job.protocol = [](const Task& task) {
-    ChainProtocol p;
-    p.burn_in = 500 + 61 * task.replica;
-    p.interval = 100;
-    p.samples = task.replica % 3;  // 0: a bare burn-in
-    return p;
-  };
-  ThreadPool pool(2);
-  const std::string plain = fingerprint(run_chain_ensemble(pool, tasks, job));
-  job.replica_band = 8;
-  const std::string banded = fingerprint(run_chain_ensemble(pool, tasks, job));
-  EXPECT_EQ(banded, plain);
-}
-
-// Hand-built sweeps (bench_thm13 varies n at one cell, every task
-// replica 0) have no replica axis, so no band forms and one worker runs
-// each task to completion before building the next.
-TEST(Ensemble, BandsFormOnlyAcrossConsecutiveReplicas) {
-  std::vector<Task> tasks(4);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].index = i;
-    tasks[i].lambda = 4.0;
-    tasks[i].gamma = 4.0;
-    tasks[i].seed = 3 + i;
-  }
-  std::vector<std::string> log;
-  ChainJob job;
-  job.make_model = [&log](const Task& t) {
-    log.push_back("b" + std::to_string(t.index));
-    util::Rng rng(t.seed);
-    const std::size_t n = 10 + 5 * t.index;
-    const auto nodes = lattice::random_blob(n, rng);
-    const auto colors = core::balanced_random_colors(n, 2, rng);
-    return model::make_separation(
-        core::SeparationChain(system::ParticleSystem(nodes, colors),
-                              core::Params{t.lambda, t.gamma, true},
-                              t.seed));
-  };
-  job.on_sample = [&log](const Task& t, const model::ChainModel&) {
-    log.push_back("s" + std::to_string(t.index));
-  };
-  job.burn_in = 200;
-  job.samples = 1;
-  job.replica_band = 8;
-  ThreadPool pool(1);
-  (void)run_chain_ensemble(pool, tasks, job);
-  EXPECT_EQ(log, (std::vector<std::string>{"b0", "s0", "b1", "s1", "b2", "s2",
-                                           "b3", "s3"}));
-}
-
 TEST(Ensemble, TaskExceptionPropagatesLowestIndex) {
   const GridSpec spec = small_spec();
   const auto tasks = grid_tasks(spec);

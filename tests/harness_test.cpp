@@ -314,19 +314,6 @@ TEST(HarnessDeathTest, ShardWithoutOutExitsUsageError) {
               ::testing::ExitedWithCode(kUsageError), "--shard-out");
 }
 
-// The band engine tops out at 8 lanes; 0 is rejected rather than
-// silently meaning 1 (the explicit each-replica-alone setting). The
-// message must name the legal range.
-TEST(HarnessDeathTest, ReplicaBandZeroExitsUsageError) {
-  EXPECT_EXIT((void)run_tiny_raw({"--replica-band", "0"}),
-              ::testing::ExitedWithCode(kUsageError), "legal range \\[1,8\\]");
-}
-
-TEST(HarnessDeathTest, ReplicaBandAboveMaxWidthExitsUsageError) {
-  EXPECT_EXIT((void)run_tiny_raw({"--replica-band", "9"}),
-              ::testing::ExitedWithCode(kUsageError), "legal range \\[1,8\\]");
-}
-
 TEST(HarnessDeathTest, ResumeWithoutCheckpointDirExitsUsageError) {
   EXPECT_EXIT((void)run_tiny_raw({"--resume"}),
               ::testing::ExitedWithCode(kUsageError), "--checkpoint-dir");

@@ -342,8 +342,8 @@ TEST(RunnerTest, EquilibriumSamplingCountsAndSpacing) {
   EXPECT_EQ(m->steps(), 1000u + 4 * 500u);
 }
 
-// The band suite's 120-particle separation setting, driven through one
-// model whose width-1 band lives across every checkpoint segment.
+// chain_run_test's 120-particle separation setting, driven through one
+// model whose chain keeps its arena across every checkpoint segment.
 TEST(StepPipeline, RunnerDriversMatchStepwiseMeasurements) {
   const std::vector<std::uint64_t> checkpoints{0, 1000, 1003, 20000};
   auto wrapped = model::make_separation(make_chain(120, 11));

@@ -96,7 +96,7 @@ TEST(Rng, BelowHandlesBoundOne) {
 }
 
 // ---------------------------------------------------------------------
-// Lemire rejection boundaries. The replica band's "identical draw
+// Lemire rejection boundaries. SeparationChain::run's "identical draw
 // sequence" guarantee rests on below() consuming raw words in an order
 // fully determined by (word values, bound) — including how many words
 // each rejection burns. These tests pin that consumption contract at
@@ -190,8 +190,8 @@ TEST(Rng, BelowSixDrawOrderIsPinned) {
 }
 
 // ---------------------------------------------------------------------
-// Bulk refill. fill(out, n) is the block-refill primitive behind the
-// replica band's scalar decode, which relies on it being
+// Bulk refill. fill(out, n) is the block-refill primitive behind
+// SeparationChain::run's decode, which relies on it being
 // stream-equivalent to n next() calls — same words, same post-state —
 // so a block boundary is invisible to the trajectory.
 
@@ -218,8 +218,8 @@ TEST(Rng, FillZeroIsANoOp) {
 
 TEST(Rng, FillChunksConcatenateToOneStream) {
   // Refilling in blocks of varying size must concatenate to the same
-  // stream as one big fill — the band's block size is a tuning
-  // knob, never a trajectory input.
+  // stream as one big fill — SeparationChain::run's block size is
+  // never a trajectory input.
   Rng chunked(314159), whole(314159);
   std::vector<std::uint64_t> got;
   const std::size_t sizes[] = {1, 5, 0, 256, 3, 1024, 7};
@@ -235,11 +235,12 @@ TEST(Rng, FillChunksConcatenateToOneStream) {
 }
 
 TEST(Rng, FillBufferDecodeMatchesLiveBelowAcrossRejections) {
-  // The band's decode idiom: bulk-fill a block, decode with lemire_below
-  // over the buffer, spill to the live generator once the buffer runs
-  // dry. With bound = 2^63 + 1 (≈ half of all words rejected) the spill
-  // point lands mid-rejection-chain often; the decoded values and final
-  // state must still match direct below() calls on a twin.
+  // SeparationChain::run's decode idiom: bulk-fill a block, decode
+  // with lemire_below over the buffer, spill to the live generator once
+  // the buffer runs dry. With bound = 2^63 + 1 (≈ half of all words
+  // rejected) the spill point lands mid-rejection-chain often; the
+  // decoded values and final state must still match direct below()
+  // calls on a twin.
   constexpr std::uint64_t kBound = (1ULL << 63) + 1;
   constexpr std::size_t kWords = 257;  // deliberately not a draw multiple
   Rng buffered(161803), live(161803);
