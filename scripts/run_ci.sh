@@ -9,7 +9,9 @@
 # phase-diagram report cmp'd against the committed golden under
 # tests/golden/, and a second kill -9 + elastic-recovery cycle run
 # against bench_alignment_phase_diagram to prove the checkpoint path is
-# model-generic. A symbol guard fails CI when the step kernel's
+# model-generic. A --threads 4 checkpointed thm13 run and its resume
+# must match the plain report while four tasks share one snapshot
+# writer. A symbol guard fails CI when the step kernel's
 # libraries call libgcc's software popcount. An ASan+UBSan tier rebuilds
 # the codec-facing test binaries (shard, checkpoint, service, model and
 # the util::record pinned-bytes and mutation-fuzz tests) and the step
@@ -84,6 +86,22 @@ scripts/check_checkpoint_kill9.sh "$build_dir" bench_thm13_compression
 
 echo "== checkpoint kill -9 + elastic recovery (bench_alignment_phase_diagram)"
 scripts/check_checkpoint_kill9.sh "$build_dir" bench_alignment_phase_diagram
+
+echo "== checkpoint writer shared by four tasks (bench_thm13_compression)"
+# The drills above run --threads 1. Here four tasks hand snapshots to
+# one writer thread at once; the checkpointed run and a resume over its
+# snapshots must both reproduce the plain report.
+shared=$(mktemp -d "${TMPDIR:-/tmp}/sops_ckpt_shared.XXXXXX")
+thm13="$build_dir"/bench/bench_thm13_compression
+"$thm13" --threads 1 >"$shared/plain.txt"
+"$thm13" --threads 4 --checkpoint-dir "$shared/snaps" \
+  --checkpoint-every 5000 >"$shared/checkpointed.txt"
+cmp "$shared/plain.txt" "$shared/checkpointed.txt"
+"$thm13" --threads 4 --checkpoint-dir "$shared/snaps" \
+  --checkpoint-every 5000 --resume >"$shared/resumed.txt"
+cmp "$shared/plain.txt" "$shared/resumed.txt"
+rm -rf "$shared"
+echo "ok: --threads 4 checkpointed and resumed reports match --threads 1"
 
 echo "== ASan+UBSan tier (shard|checkpoint|service|model|record|core under ${build_dir}-asan)"
 cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \

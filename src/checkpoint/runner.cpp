@@ -92,6 +92,10 @@ std::vector<engine::TaskResult> run_tasks(
   // Each task's aux, computed on its worker so the completion snapshot
   // carries it; indexed by result slot.
   std::vector<std::vector<double>> auxes(tasks.size());
+  // Partial snapshots go to one writer thread; a task's completion
+  // snapshot is written on its own thread before it returns. On a
+  // throw the writer still writes what is queued before it joins.
+  SnapshotWriter writer;
 
   const engine::TaskFn body = [&](const engine::Task& task) {
     const std::string path =
@@ -129,8 +133,8 @@ std::vector<engine::TaskResult> run_tasks(
           std::move(done.series), resumable ? policy.every : 0,
           [&](const model::ChainModel& at,
               const std::vector<core::Measurement>& so_far) {
-            write_snapshot(path, capture(at, job.name, hash, task,
-                                         /*complete=*/false, so_far));
+            writer.post(path, capture(at, job.name, hash, task,
+                                      /*complete=*/false, so_far));
           });
     } else {
       done.series = fn(task);
@@ -140,8 +144,8 @@ std::vector<engine::TaskResult> run_tasks(
     // Completion snapshots are stateless regardless of task kind: a
     // finished task is only ever skipped, never restored, so the
     // (series, aux) payload is the entire useful content.
-    write_snapshot(path, capture_stateless(job.name, job.model, hash, task,
-                                           done.series, task_aux));
+    writer.write(path, capture_stateless(job.name, job.model, hash, task,
+                                         done.series, task_aux));
     return std::move(done.series);
   };
 
@@ -151,12 +155,15 @@ std::vector<engine::TaskResult> run_tasks(
     results[i].aux = std::move(auxes[i]);
   }
 
-  const RunStats tally{n_skipped.load(), n_resumed.load(), n_fresh.load()};
+  const SnapshotWriter::Counts writes = writer.counts();
+  const RunStats tally{n_skipped.load(), n_resumed.load(), n_fresh.load(),
+                       writes.written, writes.superseded};
   if (stats) *stats = tally;
   std::fprintf(stderr,
                "checkpoint: dir %s: %zu skipped (complete), %zu resumed, "
-               "%zu fresh\n",
-               policy.dir.c_str(), tally.skipped, tally.resumed, tally.fresh);
+               "%zu fresh; %zu written, %zu superseded\n",
+               policy.dir.c_str(), tally.skipped, tally.resumed, tally.fresh,
+               tally.written, tally.superseded);
   return results;
 }
 

@@ -5,7 +5,8 @@
 // Tasks fan out through engine::run_ensemble. For model-backed tasks
 // (ChainJob::make_model) each one walks the same targets make_task_fn
 // walks (engine::protocol_targets, model::walk), pausing at multiples of
-// `Policy::every` to write a partial snapshot. Segmentation is
+// `Policy::every` to capture a partial snapshot, which one writer thread
+// per run_tasks call makes durable (SnapshotWriter). Segmentation is
 // invisible to the trajectory — ChainModel::run consumes no RNG draw
 // beyond the steps asked of it — so a run that snapshots every 10k
 // steps is byte-identical to one that never pauses, and a resumed run
@@ -40,7 +41,9 @@ struct Policy {
   std::string dir;          ///< snapshot directory (must already exist)
   /// Steps between partial snapshots of a chain-backed task. 0 =
   /// completion-only (tasks snapshot when they finish; resume skips
-  /// them but reruns any task that was mid-flight).
+  /// them but reruns any task that was mid-flight). A background thread
+  /// writes the partial snapshots, and one still queued when the task
+  /// takes its next is replaced by it.
   std::uint64_t every = 0;
   /// Adopt matching snapshots found in `dir`: complete ones preload the
   /// task's result, partial ones restart the chain mid-trajectory. A
@@ -57,12 +60,18 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// How the tasks of one run were satisfied (reported to stderr so
-/// stdout report bytes stay identical to an uncheckpointed run).
+/// How the tasks of one run were satisfied and how their snapshots
+/// fared (reported to stderr so stdout report bytes stay identical to
+/// an uncheckpointed run). A fresh run takes one snapshot per pause and
+/// one per task, and each is either written or superseded.
 struct RunStats {
   std::size_t skipped = 0;  ///< complete snapshot adopted, task not run
   std::size_t resumed = 0;  ///< partial snapshot continued mid-trajectory
   std::size_t fresh = 0;    ///< ran from the start
+  std::size_t written = 0;  ///< durable writes, completion snapshots included
+  /// Partial snapshots replaced, or dropped by the task's completion
+  /// snapshot, before their write began.
+  std::size_t superseded = 0;
 };
 
 /// Drop-in for engine::run_ensemble with snapshot/resume around each
@@ -72,8 +81,9 @@ struct RunStats {
 /// `aux` is applied to each completed task's result before its
 /// completion snapshot is written, so adopted results carry aux verbatim.
 /// Throws CheckpointError/SnapshotError on unusable snapshots and
-/// std::runtime_error on snapshot I/O failure. `stats` (optional)
-/// receives the skip/resume/fresh tally.
+/// std::runtime_error on snapshot I/O failure (a failed background write
+/// surfaces through the task that posted it). `stats` (optional)
+/// receives the skip/resume/fresh and written/superseded tallies.
 std::vector<engine::TaskResult> run_tasks(
     engine::ThreadPool& pool, std::span<const engine::Task> tasks,
     const shard::JobSpec& job, const engine::ChainJob* chain,

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/model/registry.hpp"
 
@@ -19,6 +20,14 @@ namespace rec = util::record;
 namespace {
 
 constexpr std::string_view kMagic = "sops-checkpoint";
+
+// Names the failing call, the file and the system's reason, e.g.
+// "checkpoint: fsync 'x.sopsckpt.tmp': Input/output error".
+[[noreturn]] void io_error(const char* call, const std::string& file,
+                           int err) {
+  throw std::runtime_error(std::string("checkpoint: ") + call + " '" + file +
+                           "': " + std::strerror(err));
+}
 
 // FNV-1a over a byte string: stable, dependency-free, and plenty for
 // tamper evidence and spec identity (this is an integrity check against
@@ -201,27 +210,138 @@ void write_snapshot(const std::string& path, const Snapshot& snap) {
   const std::string text = encode(snap);
   const std::string tmp = path + ".tmp";
   std::FILE* out = std::fopen(tmp.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("checkpoint: cannot open '" + tmp +
-                             "' for writing");
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), out);
-  bool ok = (written == text.size()) && (std::fflush(out) == 0);
+  if (out == nullptr) io_error("open", tmp, errno);
+  // The first call that fails names the error; fclose runs regardless.
+  const char* failed = nullptr;
+  int err = 0;
+  const auto check = [&](bool ok, const char* call) {
+    if (!ok && failed == nullptr) {
+      failed = call;
+      err = errno;
+    }
+  };
+  check(std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
+            std::fflush(out) == 0,
+        "write");
 #if !defined(_WIN32)
   // Durability before visibility: the data must be on disk before the
   // rename makes the snapshot the one a resume will trust.
-  ok = ok && (::fsync(::fileno(out)) == 0);
+  if (failed == nullptr) check(::fsync(::fileno(out)) == 0, "fsync");
 #endif
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
+  check(std::fclose(out) == 0, "close");
+  if (failed != nullptr) {
     std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: short write to '" + tmp + "'");
+    io_error(failed, tmp, err);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
+    err = errno;
     std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: cannot rename '" + tmp + "' to '" +
-                             path + "': " + std::strerror(err));
+    throw std::runtime_error("checkpoint: rename '" + tmp + "' to '" + path +
+                             "': " + std::strerror(err));
+  }
+}
+
+SnapshotWriter::SnapshotWriter() : thread_([this] { run(); }) {}
+
+SnapshotWriter::~SnapshotWriter() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  wake_.notify_one();
+  thread_.join();
+  // Only a run that is already failing leaves an error no owner took
+  // (its task stopped before its next hand-off); say so on stderr
+  // rather than drop it.
+  for (const auto& [path, slot] : slots_) {
+    if (!slot.error) continue;
+    try {
+      std::rethrow_exception(slot.error);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s (after its task had stopped)\n", e.what());
+    } catch (...) {
+      std::fprintf(stderr, "checkpoint: writing '%s' failed (after its task "
+                   "had stopped)\n", path.c_str());
+    }
+  }
+}
+
+void SnapshotWriter::post(const std::string& path, Snapshot snap) {
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    Slot& slot = slots_[path];
+    if (slot.error) std::rethrow_exception(std::exchange(slot.error, {}));
+    if (slot.queued) {
+      // Keeps its place in pending_; the replaced snapshot is freed in
+      // `snap` once the lock is released.
+      std::swap(*slot.queued, snap);
+      ++counts_.superseded;
+    } else {
+      slot.queued = std::move(snap);
+      pending_.push_back(path);
+      wake = true;  // a busy writer is not waiting, so this wakes nothing
+    }
+  }
+  if (wake) wake_.notify_one();
+}
+
+void SnapshotWriter::write(const std::string& path, const Snapshot& snap) {
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = slots_.find(path);
+    if (it != slots_.end()) {
+      Slot& slot = it->second;
+      if (slot.queued) {
+        slot.queued.reset();
+        std::erase(pending_, path);
+        ++counts_.superseded;
+      }
+      idle_.wait(lock, [&slot] { return !slot.busy; });
+      const std::exception_ptr error = std::move(slot.error);
+      slots_.erase(it);
+      if (error) std::rethrow_exception(error);
+    }
+  }
+  write_snapshot(path, snap);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++counts_.written;
+}
+
+SnapshotWriter::Counts SnapshotWriter::counts() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return counts_;
+}
+
+void SnapshotWriter::run() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [this] { return stop_ || !pending_.empty(); });
+    if (pending_.empty()) return;  // stop_, and nothing left to write
+    const std::string path = std::move(pending_.front());
+    pending_.pop_front();
+    // The slot outlives the write: write() erases it only once it is
+    // no longer busy, and the map's rehashes keep references valid.
+    Slot& slot = slots_.at(path);
+    std::optional<Snapshot> snap = std::move(slot.queued);
+    slot.queued.reset();
+    slot.busy = true;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      write_snapshot(path, *snap);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    snap.reset();
+    lock.lock();
+    slot.busy = false;
+    if (error) {
+      slot.error = std::move(error);
+    } else {
+      ++counts_.written;
+    }
+    idle_.notify_all();
   }
 }
 

@@ -21,6 +21,8 @@
 //  * Crash-safe. write_snapshot() writes to `<path>.tmp`, fsyncs, then
 //    rename(2)s over `path` — a kill -9 at any instant leaves either the
 //    previous complete snapshot or the new one, never a torn file.
+//    SnapshotWriter runs it on a thread of its own, so a chain pays only
+//    for the capture.
 //  * Versioned. Line 1 names the format; readers reject every version
 //    but their own.
 //
@@ -32,11 +34,19 @@
 // from a different model family, is a named error, not silent reuse.
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/runner.hpp"
@@ -97,8 +107,65 @@ struct Snapshot {
 [[nodiscard]] Snapshot decode(std::string_view text);
 
 /// Atomically replaces `path` with the encoded snapshot (tmp + fsync +
-/// rename). Throws std::runtime_error on I/O failure.
+/// rename). Throws std::runtime_error on I/O failure, naming the call
+/// that failed (open, write, fsync, close or rename), the file and
+/// strerror(errno).
 void write_snapshot(const std::string& path, const Snapshot& snap);
+
+/// Makes snapshots durable off the threads that take them: one
+/// background thread runs write_snapshot on what post() hands it.
+///  * A path has at most one queued snapshot; a newer post replaces it
+///    in place, and the replaced one counts as superseded.
+///  * Paths are written in the order they became pending, so a path
+///    posted faster than a write completes cannot starve the others.
+///  * A path is never written twice at once: there is one writer
+///    thread, and write() waits for the path's write in flight.
+/// Together these keep an older snapshot from renaming over a newer
+/// one. Each path has one owner: post() and write() of one path must
+/// not race each other. A failed background write is rethrown by the
+/// owner's next post() or write() of that path. The destructor writes
+/// what is still queued and joins; an error no owner took is printed
+/// to stderr.
+class SnapshotWriter {
+ public:
+  struct Counts {
+    std::size_t written = 0;     ///< durable writes, write() calls included
+    std::size_t superseded = 0;  ///< posts dropped before their write began
+  };
+
+  SnapshotWriter();
+  ~SnapshotWriter();
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  /// Queues `snap` for `path` and returns without waiting for the write.
+  void post(const std::string& path, Snapshot snap);
+
+  /// Writes `snap` to `path` on the calling thread, durably, after
+  /// dropping the snapshot of `path` still queued and waiting for the
+  /// one in flight.
+  void write(const std::string& path, const Snapshot& snap);
+
+  [[nodiscard]] Counts counts() const;
+
+ private:
+  struct Slot {
+    std::optional<Snapshot> queued;
+    bool busy = false;  ///< the writer thread is writing this path
+    std::exception_ptr error;
+  };
+
+  void run();
+
+  mutable std::mutex mutex_;  // guards every field up to thread_
+  std::condition_variable wake_;  // writer: a path is pending, or stop_
+  std::condition_variable idle_;  // write(): a background write finished
+  std::unordered_map<std::string, Slot> slots_;
+  std::deque<std::string> pending_;  // paths with a queued snapshot, FIFO
+  Counts counts_;
+  bool stop_ = false;
+  std::thread thread_;
+};
 
 /// Reads and decode()s `path`. Throws std::runtime_error if unreadable,
 /// SnapshotError if malformed (message includes the path).

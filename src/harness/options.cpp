@@ -59,7 +59,8 @@ Options parse_options(int argc, char** argv, bool with_shard,
                    "write per-task resume snapshots to this directory", "");
     cli.add_option("checkpoint-every",
                    "also snapshot chain-backed tasks mid-run every N steps "
-                   "(0 = at completion only)",
+                   "(0 = at completion only); a snapshot still queued for "
+                   "writing when the next is taken is replaced",
                    "0");
     cli.add_flag("resume",
                  "adopt matching snapshots in --checkpoint-dir: skip "

@@ -20,7 +20,9 @@
 //                    report locally (byte-identical; see src/service)
 //   --checkpoint-dir DIR    write per-task snapshots to DIR
 //   --checkpoint-every N    also snapshot chain-backed tasks mid-run
-//                           every N steps (0 = at completion only)
+//                           every N steps (0 = at completion only); a
+//                           snapshot still queued for writing when the
+//                           next is taken is replaced
 //   --resume                adopt matching snapshots in DIR: skip
 //                           completed tasks, continue partial ones; the
 //                           resumed run's report is byte-identical to an

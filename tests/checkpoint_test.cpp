@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/coloring.hpp"
@@ -262,6 +265,148 @@ TEST(Snapshot, ReadNamesThePathOnError) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Snapshot, WriteFailuresNameTheCallAndTheReason) {
+  const std::string dir = temp_dir("ckpt_write_fail");
+  const std::string missing = dir + "/none/x.sopsckpt";
+  try {
+    write_snapshot(missing, sample_snapshot());
+    FAIL() << "wrote into a directory that does not exist";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("open '" + missing +
+                                         ".tmp': No such file or directory"),
+              std::string::npos)
+        << e.what();
+  }
+  // A directory in the way of the final name fails the rename, and the
+  // temporary file is cleaned up.
+  const std::string blocked = dir + "/blocked.sopsckpt";
+  std::filesystem::create_directories(blocked + "/inside");
+  try {
+    write_snapshot(blocked, sample_snapshot());
+    FAIL() << "renamed over a non-empty directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rename '" + blocked + ".tmp' to '" +
+                                         blocked + "': "),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+// ---- snapshot writer ----------------------------------------------------
+
+// Partial snapshot number `i` of a path: distinct bytes per post, so the
+// file on disk says which one was written last.
+Snapshot numbered_partial(std::uint64_t i) {
+  Snapshot snap = sample_snapshot();
+  snap.series.front().iteration = 1000 + i;
+  return snap;
+}
+
+Snapshot completion_of(const Snapshot& partial) {
+  Snapshot snap = partial;
+  snap.complete = true;
+  snap.aux = {0.5};
+  return snap;
+}
+
+// Posts `bursts` partials of `path` back to back, then its completion.
+// Once the writer has joined (drained what was queued), the file must
+// still decode as the completion: no stale partial renames over it.
+void burst_then_complete(SnapshotWriter& writer, const std::string& path,
+                         std::uint64_t bursts) {
+  for (std::uint64_t i = 0; i < bursts; ++i) {
+    writer.post(path, numbered_partial(i));
+  }
+  writer.write(path, completion_of(numbered_partial(bursts)));
+}
+
+TEST(SnapshotWriter, CompletionOutlastsABurstOfPartials) {
+  const std::string dir = temp_dir("ckpt_writer_burst");
+  const std::string path = dir + "/a.sopsckpt";
+  SnapshotWriter::Counts counts;
+  {
+    SnapshotWriter writer;
+    burst_then_complete(writer, path, 1000);
+    counts = writer.counts();
+  }
+  EXPECT_EQ(encode(read_snapshot(path)),
+            encode(completion_of(numbered_partial(1000))));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(counts.written + counts.superseded, 1001u);
+  EXPECT_GE(counts.written, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotWriter, ConcurrentOwnersEachKeepTheirCompletion) {
+  const std::string dir = temp_dir("ckpt_writer_owners");
+  const auto path = [&](int k) {
+    return dir + "/" + task_filename("owners", static_cast<std::uint64_t>(k));
+  };
+  SnapshotWriter::Counts counts;
+  {
+    SnapshotWriter writer;
+    std::vector<std::thread> owners;
+    for (int k = 0; k < 4; ++k) {
+      owners.emplace_back(
+          [&, k] { burst_then_complete(writer, path(k), 1000); });
+    }
+    for (std::thread& t : owners) t.join();
+    counts = writer.counts();
+  }
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(encode(read_snapshot(path(k))),
+              encode(completion_of(numbered_partial(1000))))
+        << path(k);
+  }
+  EXPECT_EQ(counts.written + counts.superseded, 4004u);
+  std::filesystem::remove_all(dir);
+}
+
+// Paths are written in the order they became pending: a path that is
+// posted again before each of its writes completes (always pending)
+// must not keep another path's one snapshot off the disk, as it would
+// if the writer picked pending paths in key order ("a" < "b").
+TEST(SnapshotWriter, BusyPathDoesNotStarveAnother) {
+  const std::string dir = temp_dir("ckpt_writer_fifo");
+  const std::string a = dir + "/a.sopsckpt";
+  const std::string b = dir + "/b.sopsckpt";
+  // Copying a's 20,000-measurement snapshot takes far less time than
+  // encoding and durably writing it, so `a` is pending again whenever
+  // the writer picks its next path.
+  Snapshot big = numbered_partial(0);
+  big.series.assign(20000, big.series.front());
+  bool landed = false;
+  std::uint64_t posted = 0;
+  {
+    SnapshotWriter writer;
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> posts{0};
+    std::thread poster([&] {
+      while (!stop.load()) {
+        writer.post(a, big);
+        posts.fetch_add(1);
+      }
+    });
+    while (posts.load() < 10) std::this_thread::yield();
+    writer.post(b, numbered_partial(0));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!(landed = std::filesystem::exists(b)) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true);
+    poster.join();
+    posted = posts.load();
+  }
+  EXPECT_TRUE(landed) << "b's one snapshot did not reach disk in 10 s while "
+                         "a was posted "
+                      << posted << " times";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Snapshot, SpecHashCoversTheWholeJobHeader) {
   shard::JobSpec job;
   job.name = "h";
@@ -383,30 +528,93 @@ void expect_same_results(std::span<const engine::TaskResult> a,
   }
 }
 
+// Snapshots a fresh run takes: one at each pause of a task's walk (a
+// multiple of `every` strictly inside a segment) and one at completion.
+std::size_t snapshots_taken(const engine::ChainJob& chain,
+                            std::span<const engine::Task> tasks,
+                            std::uint64_t every) {
+  std::size_t n = tasks.size();
+  if (every == 0) return n;
+  for (const engine::Task& t : tasks) {
+    std::uint64_t from = 0;
+    for (const model::Target& target : engine::protocol_targets(chain, t)) {
+      if (target.at > from) n += (target.at - 1) / every - from / every;
+      from = target.at;
+    }
+  }
+  return n;
+}
+
 TEST(Runner, FreshCheckpointedRunMatchesPlainRun) {
-  const Fixture fx;
-  engine::ThreadPool pool(2);
-  const auto plain = engine::run_chain_ensemble(pool, fx.job.tasks, fx.chain);
+  const Fixture two;
+  Fixture four;  // one task per worker of the 4-worker pool
+  four.job.grid.gammas = {3.0, 1.0};
+  four.job.tasks = engine::grid_tasks(four.job.grid);
+  engine::ThreadPool pool2(2);
+  engine::ThreadPool pool4(4);
 
   // Snapshot periods that land inside segments, on segment boundaries,
-  // and far past the whole run — none may perturb the trajectory.
-  for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{97},
-                                    std::uint64_t{150}, std::uint64_t{100000}}) {
+  // and far past the whole run — none may perturb the trajectory. The
+  // 4-worker run has four tasks posting to one writer at once.
+  struct Case {
+    const Fixture& fx;
+    engine::ThreadPool& pool;
+    std::uint64_t every;
+  };
+  for (const Case& c : {Case{two, pool2, 0}, Case{two, pool2, 97},
+                        Case{two, pool2, 150}, Case{two, pool2, 100000},
+                        Case{four, pool4, 7}}) {
+    const Fixture& fx = c.fx;
+    SCOPED_TRACE("workers=" + std::to_string(c.pool.size()) +
+                 " every=" + std::to_string(c.every));
+    const auto plain =
+        engine::run_chain_ensemble(c.pool, fx.job.tasks, fx.chain);
     const std::string dir = temp_dir("ckpt_fresh");
-    const Policy policy{dir, every, false};
+    const Policy policy{dir, c.every, false};
     RunStats stats;
     const auto checked =
-        run_tasks(pool, fx.job.tasks, fx.job, &fx.chain, {}, policy, nullptr,
+        run_tasks(c.pool, fx.job.tasks, fx.job, &fx.chain, {}, policy, nullptr,
                   {}, &stats);
     expect_same_results(plain, checked);
-    EXPECT_EQ(stats.fresh, fx.job.tasks.size()) << "every=" << every;
-    // Every task leaves a completion snapshot behind.
+    EXPECT_EQ(stats.fresh, fx.job.tasks.size());
+    // Every snapshot taken is either written or superseded, and every
+    // task leaves its completion snapshot behind.
+    EXPECT_EQ(stats.written + stats.superseded,
+              snapshots_taken(fx.chain, fx.job.tasks, c.every));
+    EXPECT_GE(stats.written, fx.job.tasks.size());
     for (const engine::Task& t : fx.job.tasks) {
-      EXPECT_TRUE(std::filesystem::exists(
-          dir + "/" + task_filename(fx.job.name, t.index)));
+      const std::string path = dir + "/" + task_filename(fx.job.name, t.index);
+      ASSERT_TRUE(std::filesystem::exists(path)) << path;
+      EXPECT_TRUE(read_snapshot(path).complete) << path;
     }
     std::filesystem::remove_all(dir);
   }
+}
+
+// The first background write into a directory that does not exist
+// fails; the failure reaches run_tasks' caller naming the file and the
+// reason, at any pool size, without a hang or std::terminate.
+TEST(Runner, SnapshotWriteFailureReachesTheCaller) {
+  const Fixture fx;
+  const std::string parent = temp_dir("ckpt_unwritable");
+  const std::string dir = parent + "/missing";
+  const Policy policy{dir, 97, false};
+  const std::string tmp =
+      dir + "/" + task_filename(fx.job.name, fx.job.tasks[0].index) + ".tmp";
+  for (const unsigned workers : {1u, 2u}) {
+    engine::ThreadPool pool(workers);
+    try {
+      (void)run_tasks(pool, fx.job.tasks, fx.job, &fx.chain, {}, policy);
+      FAIL() << "run_tasks returned with an unwritable snapshot directory";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(tmp), std::string::npos) << what;
+      EXPECT_NE(what.find("No such file or directory"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(parent);
 }
 
 TEST(Runner, ResumeSkipsCompletedTasks) {
