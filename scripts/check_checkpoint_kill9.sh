@@ -80,7 +80,10 @@ echo "== resume worker 1/2 from its snapshots"
 "$bin" --shard 1/2 --shard-out "$work/parts/w1.shard" --threads 1 \
   --checkpoint-dir "$ckdir" --checkpoint-every "$every" --resume \
   >/dev/null 2>"$work/resume_err.txt"
-grep -q "resumed" "$work/resume_err.txt" || {
+# The runner's tally always prints "<k> resumed", so require k >= 1: a
+# resume that restored no snapshot and reran every task prints
+# "0 resumed".
+grep -Eq '(^|[^0-9])[1-9][0-9]* resumed' "$work/resume_err.txt" || {
   echo "FAIL: resume run did not report resumed tasks:" >&2
   cat "$work/resume_err.txt" >&2
   exit 1

@@ -42,6 +42,81 @@ const TypeSpec& type_spec(FrameType type) {
   throw std::invalid_argument("service: unknown FrameType value");
 }
 
+/// Parses one header line (no trailing '\n') into the type and args of
+/// `frame`, which must be fresh, and returns the declared payload byte
+/// count. decode_frame_prefix has already bounded the line's length.
+/// Throws ProtocolError naming the offending field.
+std::size_t parse_header(std::string_view line, Frame& frame) {
+  rec::Line h = [line] {
+    try {
+      return rec::Line(line, 0);
+    } catch (const rec::Error& e) {
+      throw ProtocolError(std::string("service: header: ") + e.what());
+    }
+  }();
+  if (h.arity() < 3) {
+    throw ProtocolError(
+        "service: header: expected 'sops-service-wire v" +
+        std::to_string(kServiceWireVersion) +
+        " <type> [args...] <payload_bytes>', got '" + std::string(line) + "'");
+  }
+  if (h.keyword() != "sops-service-wire") {
+    throw ProtocolError("service: header: magic: expected 'sops-service-wire'"
+                        ", got '" + std::string(h.keyword()) + "'");
+  }
+  std::string expect_version = "v";
+  rec::put_u64(expect_version, kServiceWireVersion);
+  if (const std::string_view version = h.token(); version != expect_version) {
+    throw ProtocolError("service: header: version: expected '" +
+                        expect_version + "', got '" + std::string(version) +
+                        "'");
+  }
+  const std::string_view name = h.token();
+  const TypeSpec* spec = nullptr;
+  for (const TypeSpec& s : kTypes) {
+    if (name == s.name) {
+      spec = &s;
+      break;
+    }
+  }
+  if (spec == nullptr) {
+    throw ProtocolError("service: header: frame type: unknown type '" +
+                        std::string(name) + "'");
+  }
+  // args + payload_bytes
+  if (h.left() != spec->args + 1) {
+    throw ProtocolError(
+        std::string("service: header: '") + spec->name + "' frame takes " +
+        std::to_string(spec->args) + " args, got " +
+        std::to_string(h.left() - 1) + " in '" + std::string(line) + "'");
+  }
+  frame.type = spec->type;
+  for (std::size_t i = 0; i < spec->args; ++i) {
+    frame.args.emplace_back(h.token());
+  }
+  const std::string_view count = h.token();
+  const std::optional<std::uint64_t> bytes = rec::parse_u64(count);
+  if (!bytes) {
+    throw ProtocolError(
+        "service: header: payload byte count: expected unsigned integer, "
+        "got '" + std::string(count) + "'");
+  }
+  if (*bytes > kMaxPayloadBytes) {
+    throw ProtocolError("service: header: payload byte count: " +
+                        std::to_string(*bytes) + " exceeds the " +
+                        std::to_string(kMaxPayloadBytes) + "-byte ceiling");
+  }
+  if (*bytes == 0 && spec->payload_required) {
+    throw ProtocolError(std::string("service: header: '") + spec->name +
+                        "' frame requires a nonempty payload");
+  }
+  if (*bytes != 0 && !spec->payload_allowed) {
+    throw ProtocolError(std::string("service: header: '") + spec->name +
+                        "' frame must not carry a payload");
+  }
+  return static_cast<std::size_t>(*bytes);
+}
+
 }  // namespace
 
 const char* frame_type_name(FrameType type) { return type_spec(type).name; }
@@ -90,106 +165,43 @@ std::string encode_frame(const Frame& frame) {
   return out;
 }
 
-Header parse_header(std::string_view line) {
-  if (line.size() > kMaxHeaderBytes) {
-    throw ProtocolError("service: header: line exceeds " +
-                        std::to_string(kMaxHeaderBytes) + " bytes");
-  }
-  rec::Line h = [line] {
-    try {
-      return rec::Line(line, 0);
-    } catch (const rec::Error& e) {
-      throw ProtocolError(std::string("service: header: ") + e.what());
-    }
-  }();
-  if (h.arity() < 3) {
-    throw ProtocolError(
-        "service: header: expected 'sops-service-wire v" +
-        std::to_string(kServiceWireVersion) +
-        " <type> [args...] <payload_bytes>', got '" + std::string(line) + "'");
-  }
-  if (h.keyword() != "sops-service-wire") {
-    throw ProtocolError("service: header: magic: expected 'sops-service-wire'"
-                        ", got '" + std::string(h.keyword()) + "'");
-  }
-  std::string expect_version = "v";
-  rec::put_u64(expect_version, kServiceWireVersion);
-  if (const std::string_view version = h.token(); version != expect_version) {
-    throw ProtocolError("service: header: version: expected '" +
-                        expect_version + "', got '" + std::string(version) +
-                        "'");
-  }
-  const std::string_view name = h.token();
-  const TypeSpec* spec = nullptr;
-  for (const TypeSpec& s : kTypes) {
-    if (name == s.name) {
-      spec = &s;
-      break;
-    }
-  }
-  if (spec == nullptr) {
-    throw ProtocolError("service: header: frame type: unknown type '" +
-                        std::string(name) + "'");
-  }
-  // args + payload_bytes
-  if (h.left() != spec->args + 1) {
-    throw ProtocolError(
-        std::string("service: header: '") + spec->name + "' frame takes " +
-        std::to_string(spec->args) + " args, got " +
-        std::to_string(h.left() - 1) + " in '" + std::string(line) + "'");
-  }
-  Header header;
-  header.type = spec->type;
-  for (std::size_t i = 0; i < spec->args; ++i) {
-    header.args.emplace_back(h.token());
-  }
-  const std::string_view count = h.token();
-  const std::optional<std::uint64_t> bytes = rec::parse_u64(count);
-  if (!bytes) {
-    throw ProtocolError(
-        "service: header: payload byte count: expected unsigned integer, "
-        "got '" + std::string(count) + "'");
-  }
-  if (*bytes > kMaxPayloadBytes) {
-    throw ProtocolError("service: header: payload byte count: " +
-                        std::to_string(*bytes) + " exceeds the " +
-                        std::to_string(kMaxPayloadBytes) + "-byte ceiling");
-  }
-  if (*bytes == 0 && spec->payload_required) {
-    throw ProtocolError(std::string("service: header: '") + spec->name +
-                        "' frame requires a nonempty payload");
-  }
-  if (*bytes != 0 && !spec->payload_allowed) {
-    throw ProtocolError(std::string("service: header: '") + spec->name +
-                        "' frame must not carry a payload");
-  }
-  header.payload_bytes = static_cast<std::size_t>(*bytes);
-  return header;
-}
-
-Frame decode_frame(std::string_view text) {
-  const std::size_t newline = text.find('\n');
+std::size_t decode_frame_prefix(std::string_view bytes, bool at_end,
+                                Frame& frame) {
+  // The header line ends within kMaxHeaderBytes + 1 bytes or never, so a
+  // peer that sends no newline is refused once it has sent too much.
+  const std::size_t newline = bytes.substr(0, kMaxHeaderBytes + 1).find('\n');
   if (newline == std::string_view::npos) {
+    if (bytes.size() > kMaxHeaderBytes) {
+      throw ProtocolError("service: header: line exceeds " +
+                          std::to_string(kMaxHeaderBytes) + " bytes");
+    }
+    if (!at_end) return 0;
     throw ProtocolError(
         "service: truncated frame: header line has no terminating newline");
   }
-  Header header = parse_header(text.substr(0, newline));
-  const std::string_view rest = text.substr(newline + 1);
-  if (rest.size() < header.payload_bytes) {
+  Frame parsed;
+  const std::size_t payload_bytes =
+      parse_header(bytes.substr(0, newline), parsed);
+  const std::string_view rest = bytes.substr(newline + 1);
+  if (rest.size() < payload_bytes) {
+    if (!at_end) return 0;
     throw ProtocolError("service: truncated frame: header declares " +
-                        std::to_string(header.payload_bytes) +
+                        std::to_string(payload_bytes) +
                         " payload bytes, only " + std::to_string(rest.size()) +
                         " present");
   }
-  if (rest.size() > header.payload_bytes) {
+  parsed.payload.assign(rest.data(), payload_bytes);
+  frame = std::move(parsed);
+  return newline + 1 + payload_bytes;
+}
+
+Frame decode_frame(std::string_view text) {
+  Frame frame;
+  if (decode_frame_prefix(text, /*at_end=*/true, frame) < text.size()) {
     throw ProtocolError("service: trailing content after the declared " +
-                        std::to_string(header.payload_bytes) +
+                        std::to_string(frame.payload.size()) +
                         "-byte payload");
   }
-  Frame frame;
-  frame.type = header.type;
-  frame.args = std::move(header.args);
-  frame.payload.assign(rest.data(), rest.size());
   return frame;
 }
 

@@ -105,17 +105,16 @@ struct Frame {
 /// trailing content after the declared payload.
 [[nodiscard]] Frame decode_frame(std::string_view text);
 
-/// A parsed header line (without its '\n').
-struct Header {
-  FrameType type = FrameType::kPing;
-  std::vector<std::string> args;
-  std::size_t payload_bytes = 0;
-};
-
-/// Parses one header line (no trailing '\n'). Exposed separately so a
-/// streaming channel can learn the payload byte count before the
-/// payload arrives. Throws ProtocolError naming the offending field.
-[[nodiscard]] Header parse_header(std::string_view line);
+/// Parses the frame at the front of `bytes`, which a stream reader may
+/// hold only part of, or more than one of. Stores the frame in `frame`
+/// and returns its length in bytes; returns 0 while `bytes` is a proper
+/// beginning of a frame. `at_end` says no more bytes will follow, so an
+/// unfinished frame throws "truncated frame" instead. Throws
+/// ProtocolError as soon as the bytes present cannot begin a frame: a
+/// header line past kMaxHeaderBytes, or any header field decode_frame
+/// refuses. decode_frame and every stream reader parse through this.
+[[nodiscard]] std::size_t decode_frame_prefix(std::string_view bytes,
+                                              bool at_end, Frame& frame);
 
 // --- Job lifecycle state tokens (used in status-ok / cancel-ok args) ---
 

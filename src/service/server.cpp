@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace sops::service {
 
@@ -32,6 +33,14 @@ Frame make_error(const std::string& field, const std::string& detail) {
 
 }  // namespace
 
+struct SweepServer::Connection {
+  Fd fd;
+  std::string in;        ///< received bytes not yet answered
+  std::string out;       ///< the encoded answer being sent
+  std::size_t sent = 0;  ///< bytes of `out` sent so far
+  bool closing = false;  ///< close once `out` is sent
+};
+
 SweepServer::SweepServer(ServerConfig config) : config_(std::move(config)) {}
 
 SweepServer::~SweepServer() {
@@ -52,23 +61,14 @@ void SweepServer::start() {
                              std::strerror(errno));
   }
   listen_fd_ = listen_unix(config_.socket_path, 128);
-  // Nonblocking listener: every I/O thread polls the same fd, and only
-  // one of them wins each connection — the losers must get EAGAIN back
-  // from accept, not block.
+  // Only poll() blocks in the I/O loop: accept must return at once.
   ::fcntl(listen_fd_.get(), F_SETFL, O_NONBLOCK);
   executor_ = std::thread([this] { executor_loop(); });
-  const unsigned n_io = config_.io_threads == 0 ? 1 : config_.io_threads;
-  io_threads_.reserve(n_io);
-  for (unsigned i = 0; i < n_io; ++i) {
-    io_threads_.emplace_back([this] { io_loop(); });
-  }
+  io_ = std::thread([this] { io_loop(); });
 }
 
 void SweepServer::wait() {
-  for (std::thread& t : io_threads_) {
-    if (t.joinable()) t.join();
-  }
-  io_threads_.clear();
+  if (io_.joinable()) io_.join();
   if (executor_.joinable()) executor_.join();
 }
 
@@ -87,61 +87,85 @@ SweepServer::Stats SweepServer::stats() const {
 }
 
 void SweepServer::io_loop() {
+  std::vector<Connection> connections;
+  std::vector<pollfd> fds;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_.get(), POLLIN, 0},
-                     {stop_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
+    // The stop pipe only wakes poll(); stopping_ ends the loop.
+    fds.assign({{stop_pipe_[0], POLLIN, 0}, {listen_fd_.get(), POLLIN, 0}});
+    for (const Connection& c : connections) {
+      // Unsent bytes go out before the next read, so a peer that stops
+      // reading stalls only itself.
+      const bool unsent = c.sent < c.out.size();
+      fds.push_back({c.fd.get(), unsent ? short{POLLOUT} : short{POLLIN}, 0});
+    }
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if ((fds[1].revents & POLLIN) != 0) break;  // stop pipe
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept4(listen_fd_.get(), nullptr, nullptr,
-                                 SOCK_CLOEXEC);
-    if (client < 0) continue;  // another I/O thread won the race
-    Fd client_fd(client);
-    try {
-      if (config_.recv_timeout_seconds > 0) {
-        set_recv_timeout(client_fd, config_.recv_timeout_seconds);
+    for (std::size_t i = 0; i < connections.size(); ++i) {
+      if (fds[i + 2].revents == 0) continue;
+      bool open = false;
+      try {
+        open = serve(connections[i]);
+      } catch (const std::exception&) {
+        // A connection dying must never take the server down.
       }
-      handle_connection(FrameChannel(std::move(client_fd)));
-    } catch (const std::exception&) {
-      // A connection dying must never take the server down.
+      if (!open) connections[i].fd.reset();
+    }
+    std::erase_if(connections,
+                  [](const Connection& c) { return !c.fd.valid(); });
+    if ((fds[1].revents & POLLIN) != 0) {
+      const int client = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (client >= 0) connections.emplace_back().fd = Fd(client);
     }
   }
 }
 
-void SweepServer::handle_connection(FrameChannel channel) {
+bool SweepServer::serve(Connection& c) {
+  // The peer will send nothing more. A later call learns that again:
+  // recv keeps returning 0.
+  bool at_end = false;
+  if (c.sent == c.out.size()) {
+    char chunk[4096];
+    const ssize_t n = ::recv(c.fd.get(), chunk, sizeof(chunk), 0);
+    if (n < 0) return errno == EAGAIN || errno == EINTR;
+    at_end = n == 0;
+    c.in.append(chunk, static_cast<std::size_t>(n));
+  }
   for (;;) {
-    std::optional<Frame> request;
-    try {
-      request = channel.recv();
-    } catch (const ProtocolError& e) {
-      // Best-effort diagnosis before the strict close: the stream
-      // position is unreliable after a framing error, so no recovery.
-      try {
-        channel.send(make_error("frame", e.what()));
-      } catch (const std::exception&) {
-      }
-      return;
+    while (c.sent < c.out.size()) {
+      // MSG_NOSIGNAL: a peer that hung up turns into an error return, not
+      // a process-wide SIGPIPE.
+      const ssize_t n = ::send(c.fd.get(), c.out.data() + c.sent,
+                               c.out.size() - c.sent, MSG_NOSIGNAL);
+      if (n < 0) return errno == EAGAIN || errno == EINTR;
+      c.sent += static_cast<std::size_t>(n);
     }
-    if (!request) return;  // clean EOF
+    if (c.closing || (at_end && c.in.empty())) return false;
+    // The next buffered request is answered only now that the last
+    // answer is sent.
+    Frame request;
     Frame response;
+    const char* field = "frame";
     try {
-      response = handle_frame(*request);
+      const std::size_t n = decode_frame_prefix(c.in, at_end, request);
+      if (n == 0) return true;  // the rest of the frame is on its way
+      c.in.erase(0, n);
+      field = "payload";
+      response = handle_frame(request);
     } catch (const ProtocolError& e) {
-      try {
-        channel.send(make_error("payload", e.what()));
-      } catch (const std::exception&) {
-      }
-      return;
+      // No recovery from either: after a framing error the stream
+      // position is unreliable. The error frame is the last answer.
+      response = make_error(field, e.what());
+      c.closing = true;
     }
-    channel.send(response);
-    if (request->type == FrameType::kShutdown) {
+    if (request.type == FrameType::kShutdown) {
+      c.closing = true;
       request_stop();
-      return;
     }
+    c.out = encode_frame(response);
+    c.sent = 0;
   }
 }
 

@@ -1,15 +1,21 @@
 // The persistent sweep server: accept jobs over a local socket, run
 // them on one shared ensemble pool, answer status/result/cancel.
 //
-// Topology: a small set of I/O threads accept connections and speak the
-// v3 frame protocol; one executor thread drains a bounded FIFO of
-// accepted jobs and runs each through engine::run_ensemble on the
-// shared ThreadPool. Exactly one job computes at a time — the pool
-// already saturates the machine's cores per job, so job-level
-// concurrency would only add nondeterministic contention. Backpressure
-// is therefore explicit and early: a submit that would push the queue
-// past its limit is refused synchronously ("queue-full"), never
-// buffered into an unbounded backlog.
+// Topology: one I/O thread polls the listener, a stop pipe and every
+// open connection, and speaks the v3 frame protocol. It keeps each
+// connection's unparsed input and unsent output in buffers and answers
+// each complete request in the order it arrived. A connection with
+// unsent bytes is not read until they are sent, so a peer that stops
+// reading stalls only itself, and an idle peer holds only a descriptor
+// and its buffers: no timeout is needed, and shutdown is immediate. One
+// executor thread drains a bounded FIFO of accepted jobs and runs each
+// through engine::run_ensemble on the shared ThreadPool. Exactly one
+// job computes at a time — the pool already saturates the machine's
+// cores per job, so job-level concurrency would only add
+// nondeterministic contention. Backpressure is therefore explicit and
+// early: a submit that would push the queue past its limit is refused
+// synchronously ("queue-full"), never buffered into an unbounded
+// backlog.
 //
 // Job lifecycle: queued → running → done | failed, with cancelled
 // reachable from queued (immediate) and running (via the engine's
@@ -31,7 +37,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/engine/ensemble.hpp"
 #include "src/engine/progress.hpp"
@@ -44,13 +49,11 @@ namespace sops::service {
 
 struct ServerConfig {
   std::string socket_path;
-  unsigned io_threads = 2;       ///< connection handler threads
   unsigned pool_threads = 0;     ///< ensemble pool size (0 = hardware)
   std::size_t queue_limit = 64;  ///< max queued (not yet running) jobs
   std::size_t max_job_tasks = 1u << 16;  ///< per-job task-table ceiling
   std::size_t retain_limit = 4096;  ///< terminal jobs kept for result/status
   std::string telemetry;         ///< job-tagged JSONL stream; "" = disabled
-  int recv_timeout_seconds = 120;  ///< per-connection idle timeout
 };
 
 class SweepServer {
@@ -69,10 +72,10 @@ class SweepServer {
   /// seen and all threads have drained, then joins them.
   void wait();
 
-  /// Asynchronously requests shutdown: the listener wakes via the stop
-  /// pipe, the executor finishes its current job and exits. Safe to
-  /// call from any thread, including a signal handler's forwarding
-  /// thread.
+  /// Asynchronously requests shutdown: the I/O loop wakes via the stop
+  /// pipe and closes every connection, the executor finishes its current
+  /// job and exits. Safe to call from any thread, including a signal
+  /// handler's forwarding thread.
   void request_stop();
 
   /// Monotonic counters for the lifetime of the server.
@@ -113,9 +116,14 @@ class SweepServer {
     Job* job_;
   };
 
+  struct Connection;  ///< one open connection, as the I/O loop holds it
+
   void io_loop();
   void executor_loop();
-  void handle_connection(FrameChannel channel);
+  /// Reads or writes once on a connection poll() found ready, then
+  /// answers buffered requests while each answer is sent at once.
+  /// Returns false once the connection is done.
+  [[nodiscard]] bool serve(Connection& c);
   [[nodiscard]] Frame handle_frame(const Frame& request);
   [[nodiscard]] Frame handle_submit(const Frame& request);
   [[nodiscard]] std::shared_ptr<Job> find_job(const std::string& id);
@@ -137,7 +145,7 @@ class SweepServer {
   std::uint64_t next_job_ = 1;
   Stats stats_;
 
-  std::vector<std::thread> io_threads_;
+  std::thread io_;
   std::thread executor_;
 };
 

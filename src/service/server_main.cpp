@@ -4,8 +4,9 @@
 // until a `shutdown` frame arrives: job submissions run on one shared
 // ensemble thread pool, status/result/cancel queries answer from the
 // in-memory job table, and a full queue refuses new work synchronously
-// instead of buffering an unbounded backlog. See src/service/ and
-// DESIGN.md §"Service layer".
+// instead of buffering an unbounded backlog. One I/O thread serves every
+// open connection, so an idle client holds no thread and never delays
+// another. See src/service/ and DESIGN.md §"Service layer".
 //
 // Prints one `listening on <socket>` line to stdout once the socket is
 // live, so scripts can wait for readiness by watching the log.
@@ -37,14 +38,11 @@ int main(int argc, char** argv) {
   cli.add_option("socket", "AF_UNIX socket path to listen on (required)", "");
   cli.add_option("threads",
                  "ensemble pool workers (0 = hardware concurrency)", "0");
-  cli.add_option("io-threads", "connection handler threads", "2");
   cli.add_option("queue", "max queued jobs before submissions are refused",
                  "64");
   cli.add_option("max-tasks", "per-job task-table ceiling", "65536");
   cli.add_option("telemetry",
                  "append job-tagged per-task JSONL records to this file", "");
-  cli.add_option("recv-timeout",
-                 "per-connection idle timeout in seconds (0 = none)", "120");
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -63,13 +61,10 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("cli: --socket is required");
     }
     const std::uint64_t threads = cli.unsigned_integer("threads");
-    const std::uint64_t io_threads = cli.unsigned_integer("io-threads");
-    if (threads > 4096 || io_threads == 0 || io_threads > 256) {
-      throw std::invalid_argument(
-          "cli: --threads (max 4096) / --io-threads (1..256) out of range");
+    if (threads > 4096) {
+      throw std::invalid_argument("cli: --threads must be at most 4096");
     }
     config.pool_threads = static_cast<unsigned>(threads);
-    config.io_threads = static_cast<unsigned>(io_threads);
     config.queue_limit =
         static_cast<std::size_t>(cli.unsigned_integer("queue"));
     if (config.queue_limit == 0) {
@@ -78,8 +73,6 @@ int main(int argc, char** argv) {
     config.max_job_tasks =
         static_cast<std::size_t>(cli.unsigned_integer("max-tasks"));
     config.telemetry = cli.str("telemetry");
-    config.recv_timeout_seconds =
-        static_cast<int>(cli.unsigned_integer("recv-timeout"));
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n" << cli.help_text(argv[0]);
     return kUsageError;

@@ -1,7 +1,6 @@
 #include "src/service/socket.hpp"
 
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -77,14 +76,6 @@ Fd connect_unix(const std::string& path) {
   return fd;
 }
 
-void set_recv_timeout(const Fd& fd, int seconds) {
-  timeval tv{};
-  tv.tv_sec = seconds;
-  if (::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    throw_errno("service: setsockopt(SO_RCVTIMEO)");
-  }
-}
-
 void FrameChannel::send(const Frame& frame) {
   const std::string bytes = encode_frame(frame);
   std::size_t sent = 0;
@@ -101,52 +92,24 @@ void FrameChannel::send(const Frame& frame) {
   }
 }
 
-bool FrameChannel::fill(std::size_t need) {
-  char chunk[4096];
-  while (buffer_.size() < need) {
+std::optional<Frame> FrameChannel::recv() {
+  bool at_end = false;
+  for (;;) {
+    if (at_end && buffer_.empty()) return std::nullopt;  // clean EOF
+    Frame frame;
+    if (const std::size_t used = decode_frame_prefix(buffer_, at_end, frame)) {
+      buffer_.erase(0, used);
+      return frame;
+    }
+    char chunk[4096];
     const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw std::runtime_error("service: recv timed out");
-      }
       throw_errno("service: recv");
     }
-    if (n == 0) return false;  // EOF
+    at_end = n == 0;
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  return true;
-}
-
-std::optional<Frame> FrameChannel::recv() {
-  // Read until the header line is complete.
-  std::size_t newline;
-  while ((newline = buffer_.find('\n')) == std::string::npos) {
-    if (buffer_.size() > kMaxHeaderBytes) {
-      throw ProtocolError("service: header: line exceeds " +
-                          std::to_string(kMaxHeaderBytes) + " bytes");
-    }
-    const std::size_t before = buffer_.size();
-    if (!fill(before + 1)) {
-      if (buffer_.empty()) return std::nullopt;  // clean EOF between frames
-      throw ProtocolError(
-          "service: truncated frame: connection closed mid-header");
-    }
-  }
-  Header header = parse_header(std::string_view(buffer_).substr(0, newline));
-  const std::size_t frame_bytes = newline + 1 + header.payload_bytes;
-  if (!fill(frame_bytes)) {
-    throw ProtocolError("service: truncated frame: header declares " +
-                        std::to_string(header.payload_bytes) +
-                        " payload bytes, connection closed after " +
-                        std::to_string(buffer_.size() - newline - 1));
-  }
-  Frame frame;
-  frame.type = header.type;
-  frame.args = std::move(header.args);
-  frame.payload = buffer_.substr(newline + 1, header.payload_bytes);
-  buffer_.erase(0, frame_bytes);
-  return frame;
 }
 
 }  // namespace sops::service

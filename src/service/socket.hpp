@@ -46,15 +46,11 @@ class Fd {
 /// naming the path on failure ("is the server running?").
 [[nodiscard]] Fd connect_unix(const std::string& path);
 
-/// Arms SO_RCVTIMEO so a stalled peer cannot pin a connection handler
-/// forever. 0 disables the timeout.
-void set_recv_timeout(const Fd& fd, int seconds);
-
-/// One connection's frame transport. send() writes one encoded frame;
-/// recv() reads exactly one frame, returning nullopt on a clean EOF at
-/// a frame boundary. A peer that goes away mid-frame, overruns the
-/// header ceiling, or sends malformed bytes raises ProtocolError; socket
-/// errors raise std::runtime_error.
+/// One blocking connection's frame transport, the client's side of the
+/// wire. send() writes one encoded frame; recv() reads exactly one frame,
+/// returning nullopt on a clean EOF at a frame boundary. A peer that goes
+/// away mid-frame, overruns the header ceiling, or sends malformed bytes
+/// raises ProtocolError; socket errors raise std::runtime_error.
 class FrameChannel {
  public:
   explicit FrameChannel(Fd fd) : fd_(std::move(fd)) {}
@@ -65,10 +61,6 @@ class FrameChannel {
   [[nodiscard]] const Fd& fd() const noexcept { return fd_; }
 
  private:
-  /// Blocks until `buffer_` holds at least `need` bytes. Returns false
-  /// on EOF before that.
-  bool fill(std::size_t need);
-
   Fd fd_;
   std::string buffer_;
 };

@@ -12,7 +12,9 @@
 // named error, or it returns a value v and decode(encode(v)) == v bit
 // for bit (compared through the exact encoding). Any other exception is
 // a failure; so is a crash or, under the ASan+UBSan tier, a sanitizer
-// report.
+// report. Service frames are also fed to the prefix parser in random
+// chunks, as a connection delivers them, which must reach decode_frame's
+// frame or its refusal.
 
 #include <gtest/gtest.h>
 
@@ -70,18 +72,67 @@ bool check_job_payload(const std::string& input) {
   return true;
 }
 
-bool check_frame(const std::string& input) {
-  service::Frame v;
+void expect_same_frame(const service::Frame& a, const service::Frame& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.args, b.args);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+/// Feeds `input` to the prefix parser in random chunks, then ends the
+/// stream, and compares the outcome with decode_frame's: the same frame,
+/// or the same refusal. A frame that ends before the input does is
+/// decode_frame's trailing-content refusal, and the bytes it spans must
+/// decode to that frame.
+void expect_streamed_like_whole(const std::string& input, util::Rng& rng) {
+  std::string buffer;
+  service::Frame streamed;
+  std::size_t used = 0;
+  std::string refusal;
   try {
-    v = service::decode_frame(input);
-  } catch (const service::ProtocolError&) {
-    return false;
+    for (std::size_t fed = 0; used == 0 && fed < input.size();) {
+      const std::size_t n = 1 + rng.below(input.size() - fed);
+      buffer.append(input, fed, n);
+      fed += n;
+      used = service::decode_frame_prefix(buffer, /*at_end=*/false, streamed);
+    }
+    if (used == 0) {
+      used = service::decode_frame_prefix(buffer, /*at_end=*/true, streamed);
+    }
+  } catch (const service::ProtocolError& e) {
+    refusal = e.what();
   }
-  const service::Frame w = service::decode_frame(service::encode_frame(v));
-  EXPECT_EQ(w.type, v.type);
-  EXPECT_EQ(w.args, v.args);
-  EXPECT_EQ(w.payload, v.payload);
-  return true;
+  service::Frame whole;
+  try {
+    whole = service::decode_frame(input);
+  } catch (const service::ProtocolError& e) {
+    if (!refusal.empty()) {
+      EXPECT_EQ(refusal, e.what());
+      return;
+    }
+    EXPECT_LT(used, input.size()) << e.what();
+    EXPECT_NE(std::string(e.what()).find("trailing content"),
+              std::string::npos)
+        << e.what();
+    expect_same_frame(service::decode_frame(input.substr(0, used)), streamed);
+    return;
+  }
+  EXPECT_EQ(refusal, "") << "decode_frame accepted what the stream refused";
+  EXPECT_EQ(used, input.size());
+  expect_same_frame(whole, streamed);
+}
+
+Check check_frame(std::uint64_t chunk_seed) {
+  return [rng = util::Rng(chunk_seed)](const std::string& input) mutable {
+    expect_streamed_like_whole(input, rng);
+    service::Frame v;
+    try {
+      v = service::decode_frame(input);
+    } catch (const service::ProtocolError&) {
+      return false;
+    }
+    expect_same_frame(service::decode_frame(service::encode_frame(v)), v);
+    return true;
+  };
 }
 
 bool check_snapshot(const std::string& input) {
@@ -282,7 +333,7 @@ TEST(RecordFuzz, ServiceJobPayloads) {
        wire_corpus());
 }
 
-TEST(RecordFuzz, ServiceFrames) { fuzz(frame_corpus(), check_frame, 3); }
+TEST(RecordFuzz, ServiceFrames) { fuzz(frame_corpus(), check_frame(33), 3); }
 
 TEST(RecordFuzz, SnapshotsWithStaleChecksums) {
   fuzz(snapshot_corpus(), check_snapshot, 4);

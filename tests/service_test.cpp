@@ -1,15 +1,24 @@
 // Service layer tests: v3 frame codec (round-trips and strict
 // negative paths), the job registry's refusal surface, the engine's
 // cancel token, and an end-to-end in-process server exercising submit/
-// status/result/cancel/overload/shutdown over a real AF_UNIX socket.
+// status/result/cancel/overload/shutdown over a real AF_UNIX socket,
+// including clients that sit idle or stop reading while others are
+// served.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/engine/ensemble.hpp"
@@ -55,6 +64,28 @@ shard::JobSpec small_job(std::size_t tasks, std::uint64_t blob,
 /// sockaddr_un ceiling regardless of the build directory's depth.
 std::string test_socket(const char* tag) {
   return std::string("./service_test_") + tag + ".sock";
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Reads a raw connection until the server closes it or `deadline`
+/// passes, and returns every byte that arrived.
+std::string read_until_closed(int fd, Clock::time_point deadline) {
+  std::string bytes;
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+      ADD_FAILURE() << "connection still open at the deadline";
+      return bytes;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return bytes;
+    bytes.append(chunk, static_cast<std::size_t>(n));
+  }
 }
 
 // --- Frame codec: round-trips ---
@@ -342,7 +373,6 @@ TEST(ServiceServerTest, SubmitPollFetchMatchesLocalRunByteForByte) {
   const std::string socket_path = test_socket("e2e");
   service::ServerConfig config;
   config.socket_path = socket_path;
-  config.io_threads = 2;
   config.pool_threads = 2;
   service::SweepServer server(config);
   server.start();
@@ -505,6 +535,192 @@ TEST(ServiceServerTest, HugeDeclaredCountGetsAnErrorFrame) {
 
   service::Client client(socket_path);
   client.shutdown_server();
+  server.wait();
+}
+
+TEST(ServiceServerTest, OversizedJobIsRefusedAsTooLarge) {
+  const std::string socket_path = test_socket("toolarge");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  config.max_job_tasks = 2;
+  service::SweepServer server(config);
+  server.start();
+  service::Client client(socket_path);
+
+  const service::Client::Submitted refused =
+      client.submit(small_job(3, 12, 100));
+  EXPECT_FALSE(refused.accepted);
+  EXPECT_EQ(refused.reason, service::kRefusedTooLarge);
+  EXPECT_NE(refused.detail.find("job has 3 tasks"), std::string::npos)
+      << refused.detail;
+  EXPECT_NE(refused.detail.find("caps jobs at 2"), std::string::npos)
+      << refused.detail;
+  EXPECT_EQ(server.stats().refused, 1u);
+  // A refusal is an answer, not a broken connection.
+  client.ping();
+
+  client.shutdown_server();
+  server.wait();
+  EXPECT_EQ(server.stats().submitted, 0u);
+}
+
+TEST(ServiceServerTest, OneWriteOfThreeRequestsGetsThreeAnswersInOrder) {
+  const std::string socket_path = test_socket("pipelined");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+
+  {
+    service::FrameChannel raw(service::connect_unix(socket_path));
+    const std::string bytes =
+        service::encode_frame({service::FrameType::kPing, {}, ""}) +
+        service::encode_frame({service::FrameType::kStatus, {"j999"}, ""}) +
+        service::encode_frame({service::FrameType::kPing, {}, ""});
+    ASSERT_EQ(::send(raw.fd().get(), bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+    const std::optional<service::Frame> first = raw.recv();
+    const std::optional<service::Frame> second = raw.recv();
+    const std::optional<service::Frame> third = raw.recv();
+    ASSERT_TRUE(first && second && third);
+    EXPECT_EQ(first->type, service::FrameType::kPong);
+    EXPECT_EQ(second->type, service::FrameType::kRefused);
+    EXPECT_EQ(second->args,
+              std::vector<std::string>{service::kRefusedUnknownId});
+    EXPECT_EQ(third->type, service::FrameType::kPong);
+  }
+
+  service::Client client(socket_path);
+  client.shutdown_server();
+  server.wait();
+}
+
+TEST(ServiceServerTest, IdleConnectionsDoNotDelayOthers) {
+  // Four idle clients: more than a server that gives each connection a
+  // thread of its own would have had.
+  const std::string socket_path = test_socket("idle");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+  std::vector<std::unique_ptr<service::Client>> idle;
+  for (int i = 0; i < 4; ++i) {
+    idle.push_back(std::make_unique<service::Client>(socket_path));
+  }
+
+  auto pinged = std::async(std::launch::async,
+                           [&] { service::Client(socket_path).ping(); });
+  auto ran = std::async(std::launch::async, [&] {
+    return service::run_job(socket_path, small_job(2, 12, 100),
+                            /*poll_interval_ms=*/2);
+  });
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+  EXPECT_EQ(pinged.wait_until(deadline), std::future_status::ready)
+      << "no pong within 5 s while 4 idle clients are connected";
+  EXPECT_EQ(ran.wait_until(deadline), std::future_status::ready)
+      << "run_job unfinished after 5 s while 4 idle clients are connected";
+  // Closing the idle clients frees any server that waits on them, so
+  // both calls end either way.
+  idle.clear();
+  pinged.get();
+  EXPECT_EQ(ran.get().size(), 2u);
+
+  service::Client(socket_path).shutdown_server();
+  server.wait();
+}
+
+TEST(ServiceServerTest, ShutdownIsImmediateWithAnIdleClientConnected) {
+  const std::string socket_path = test_socket("shutdown");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+  std::optional<service::Client> idle(socket_path);
+  idle->ping();
+
+  service::Client(socket_path).shutdown_server();
+  auto waited = std::async(std::launch::async, [&] { server.wait(); });
+  EXPECT_EQ(waited.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "wait() still blocked 2 s after an acknowledged shutdown";
+  idle.reset();  // frees a server that waits on the idle client
+  waited.get();
+}
+
+TEST(ServiceServerTest, PeersThatStopReadingStallOnlyThemselves) {
+  const std::string socket_path = test_socket("stalled");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+
+  // Two peers write pings without reading until their sockets take no
+  // more: 200 ms in a row of EAGAIN. A nonblocking send may stop inside
+  // a ping, so each peer counts the bytes that went out.
+  const std::string ping =
+      service::encode_frame({service::FrameType::kPing, {}, ""});
+  std::string burst;
+  for (int i = 0; i < 256; ++i) burst += ping;
+  std::vector<service::Fd> peers;
+  std::vector<std::size_t> sent;
+  for (int p = 0; p < 2; ++p) {
+    peers.push_back(service::connect_unix(socket_path));
+    std::size_t total = 0;
+    for (int stalls = 0; stalls < 20;) {
+      const std::size_t at = total % ping.size();
+      const ssize_t n = ::send(peers.back().get(), burst.data() + at,
+                               burst.size() - at, MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        total += static_cast<std::size_t>(n);
+        stalls = 0;
+        continue;
+      }
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      ++stalls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    sent.push_back(total);
+  }
+
+  auto pinged = std::async(std::launch::async,
+                           [&] { service::Client(socket_path).ping(); });
+  EXPECT_EQ(pinged.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "no pong within 5 s while two peers have stopped reading";
+
+  // The first peer reads now: one pong per complete ping, in order, and
+  // once it ends its side, a torn last ping is answered as truncated.
+  ::shutdown(peers[0].get(), SHUT_WR);
+  const std::string got = read_until_closed(
+      peers[0].get(), Clock::now() + std::chrono::seconds(20));
+  const std::string pong =
+      service::encode_frame({service::FrameType::kPong, {}, ""});
+  const std::size_t complete = sent[0] / ping.size();
+  std::string expect;
+  for (std::size_t i = 0; i < complete; ++i) expect += pong;
+  EXPECT_GT(complete, 0u);
+  EXPECT_EQ(got.substr(0, expect.size()), expect)
+      << "expected " << complete << " pongs, got " << got.size() << " bytes";
+  if (sent[0] % ping.size() == 0) {
+    EXPECT_EQ(got.size(), expect.size());
+  } else if (got.size() > expect.size()) {
+    const service::Frame last =
+        service::decode_frame(got.substr(expect.size()));
+    EXPECT_EQ(last.type, service::FrameType::kError);
+    EXPECT_NE(last.payload.find("truncated frame"), std::string::npos)
+        << last.payload;
+  } else {
+    ADD_FAILURE() << "no answer to the torn last ping";
+  }
+
+  peers.clear();  // frees a server that waits on the stalled peers
+  pinged.get();
+  service::Client(socket_path).shutdown_server();
   server.wait();
 }
 
