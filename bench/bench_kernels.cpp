@@ -79,10 +79,10 @@ BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 // SeparationChain::run (src/core/markov_chain.hpp), the walk every
 // trajectory runs on: each timing iteration advances the chain by one
 // fixed 4096-step chunk, so items/s compares steps-for-steps with
-// BM_ChainStep. arena_rebuilds and tail_words surface
-// SeparationChain::RunStats, so a drift-rebuild storm or Lemire-spill
-// anomaly shows up in the snapshot rather than as an unexplained
-// slowdown.
+// BM_ChainStep. arena_rebuilds, flatmap_steps and tail_words surface
+// SeparationChain::RunStats, so a drift-rebuild storm, a refused arena
+// or a Lemire-rejection anomaly shows up in the snapshot rather than as
+// an unexplained slowdown.
 constexpr std::uint64_t kChunk = 4096;
 
 void chain_run_impl(benchmark::State& state, core::Params params) {
@@ -103,6 +103,8 @@ void chain_run_impl(benchmark::State& state, core::Params params) {
       chain.counters().moves_accepted + chain.counters().swaps_accepted;
   state.counters["arena_rebuilds"] = benchmark::Counter(static_cast<double>(
       chain.run_stats().arena_rebuilds - before.arena_rebuilds));
+  state.counters["flatmap_steps"] = benchmark::Counter(static_cast<double>(
+      chain.run_stats().flatmap_steps - before.flatmap_steps));
   state.counters["tail_words"] = benchmark::Counter(static_cast<double>(
       chain.run_stats().tail_words - before.tail_words));
   state.counters["accept_rate"] = benchmark::Counter(

@@ -4,7 +4,9 @@
 # smoke-check the sharded-harness round-trip (worker → merge →
 # byte-identical report) for two grid harnesses — one chain-backed
 # (bench_thm13_compression) and one exact/aux-backed (bench_mixing_gap,
-# retrofitted onto the engine by the harness framework). The model
+# retrofitted onto the engine by the harness framework). The 13
+# separation harness reports at --threads 4 are cmp'd against the
+# committed --threads 1 goldens under tests/golden/. The model
 # registry gets its own gates: the `ctest -L model` tier, an alignment
 # phase-diagram report cmp'd against the committed golden under
 # tests/golden/, and a second kill -9 + elastic-recovery cycle run
@@ -71,6 +73,22 @@ echo "== alignment smoke (report vs committed golden)"
 cmp /tmp/sops_alignment_smoke.$$.txt tests/golden/bench_alignment_phase_diagram.txt
 rm -f /tmp/sops_alignment_smoke.$$.txt
 echo "ok: alignment report byte-identical to tests/golden"
+
+echo "== separation reports (--threads 4 vs committed --threads 1 goldens)"
+# The 13 separation harnesses at default scale. Each golden under
+# tests/golden/ was written at --threads 1, so a report that differs
+# means a trajectory moved (a step kernel change) or depends on the
+# thread count.
+reports=$(mktemp -d "${TMPDIR:-/tmp}/sops_reports.XXXXXX")
+for name in baselines distributed_equivalence exact_observables \
+    fig2_timeline fig3_phase_diagram lemma2_pmin lemma9_stationary \
+    mixing_gap swap_ablation thm11_cluster_expansion thm13_compression \
+    thm14_separation thm15_16_integration; do
+  "$build_dir/bench/bench_$name" --threads 4 >"$reports/$name.txt"
+  cmp "$reports/$name.txt" "tests/golden/bench_$name.txt"
+done
+rm -rf "$reports"
+echo "ok: 13 separation reports at --threads 4 byte-identical to tests/golden"
 
 echo "== shard round-trip smoke (bench_thm13_compression)"
 scripts/check_shard_roundtrip.sh "$build_dir" bench_thm13_compression 2

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/neighborhood.hpp"
 
@@ -199,6 +200,21 @@ bool SeparationChain::step_reference() {
   return ci != cj;
 }
 
+inline void SeparationChain::decode(util::Rng& rng, std::uint64_t n,
+                                    Proposal* out, std::size_t from,
+                                    std::size_t to, std::uint64_t& words) {
+  const auto draw = [&rng, &words]() noexcept {
+    ++words;
+    return rng.next();
+  };
+  for (std::size_t t = from; t < to; ++t) {
+    Proposal& p = out[t];
+    p.pi = static_cast<std::int32_t>(util::lemire_below(draw, n));
+    p.dir = static_cast<std::int32_t>(util::lemire_below(draw, 6));
+    p.q = draw();
+  }
+}
+
 void SeparationChain::run(std::uint64_t iterations) {
   if (iterations == 0) return;
   // Sync the FlatMap on any exit, an exception included.
@@ -206,59 +222,53 @@ void SeparationChain::run(std::uint64_t iterations) {
     ParticleSystem& sys;
     ~SyncOnExit() { sys.sync_index(); }
   } const sync_on_exit{sys_};
-  if (block_.empty()) {
-    block_.resize(kBlockSize);
-    raw_.resize(3 * kBlockSize);
-  }
+  if (block_.empty()) block_.resize(2 * kBlockSize);
   if (!arena_ok_ || counters_.steps != arena_steps_) rebuild_arena();
-  while (iterations > 0) {
+  const auto take = [&iterations]() noexcept {
     const auto count = static_cast<std::size_t>(
         std::min<std::uint64_t>(iterations, kBlockSize));
-    run_block(count);
     iterations -= count;
+    return count;
+  };
+  const std::uint64_t steps = iterations;
+  std::uint64_t words = 0;
+  Proposal* cur = block_.data();
+  Proposal* next = cur + kBlockSize;
+  std::size_t count = take();
+  decode(rng_, sys_.size(), cur, 0, count, words);
+  while (count > 0) {
+    // The last block decodes nothing ahead: a caller that stops here
+    // sees the generator step() would have left.
+    const std::size_t next_count = take();
+    run_block(cur, count, next, next_count, words);
+    std::swap(cur, next);
+    count = next_count;
   }
+  run_stats_.words += words;
+  run_stats_.tail_words += words - 3 * steps;
   arena_steps_ = counters_.steps;
 }
 
-void SeparationChain::run_block(std::size_t count) {
+void SeparationChain::run_block(const Proposal* cur, std::size_t count,
+                                Proposal* next, std::size_t next_count,
+                                std::uint64_t& words) {
   ++run_stats_.blocks;
-  decode_block(count);
-  const std::size_t from = arena_ok_ ? walk_arena(count) : 0;
+  const std::size_t from =
+      arena_ok_ ? walk_arena(cur, count, next, next_count, words) : 0;
+  // What the walk did not decode of the next block, in order; advance()
+  // draws nothing, so the FlatMap ticks below may follow it.
+  decode(rng_, sys_.size(), next, std::min(from, next_count), next_count,
+         words);
   if (from < count) {
     // Ticks the arena cannot serve run through step()'s own body on the
     // synced FlatMap.
     sys_.sync_index();
     for (std::size_t t = from; t < count; ++t) {
-      advance(block_[t].pi, block_[t].dir,
-              util::decode_uniform_open(block_[t].q));
+      advance(cur[t].pi, cur[t].dir, util::decode_uniform_open(cur[t].q));
     }
     run_stats_.flatmap_steps += count - from;
   }
   counters_.steps += count;
-}
-
-void SeparationChain::decode_block(std::size_t count) {
-  const std::uint64_t n = sys_.size();
-  const std::size_t words = 3 * count;
-  std::uint64_t* const raw = raw_.data();
-  rng_.fill(raw, words);
-  run_stats_.refill_words += words;
-  // Each proposal takes at least three words, so every refilled word is
-  // consumed before a rejection spill draws from the live generator.
-  std::size_t cursor = 0;
-  std::uint64_t tail = 0;
-  const auto take = [&]() noexcept {
-    if (cursor < words) return raw[cursor++];
-    ++tail;
-    return rng_.next();
-  };
-  for (std::size_t t = 0; t < count; ++t) {
-    Proposal& p = block_[t];
-    p.pi = static_cast<std::int32_t>(util::lemire_below(take, n));
-    p.dir = static_cast<std::int32_t>(util::lemire_below(take, 6));
-    p.q = take();
-  }
-  run_stats_.tail_words += tail;
 }
 
 void SeparationChain::rebuild_arena() {
@@ -335,101 +345,116 @@ inline bool SeparationChain::arena_move(ParticleIndex pi, int dir, int de,
 }
 
 inline void SeparationChain::arena_swap(ParticleIndex pi, ParticleIndex qj,
-                                        int dir, int sx) {
+                                        int sx) {
   sys_.swap_unindexed(pi, qj, -sx);
-  // The cell exchange masks to a no-op for a like-colored swap, matching
-  // swap_unindexed leaving the positions untouched.
+  // The particles exchange cells; each keeps its own color nibble, only
+  // the address parts swap.
   std::uint32_t* const cells = cells_.data();
   std::uint32_t& pci = pcell_[static_cast<std::size_t>(pi)];
-  const std::int64_t base = pci & kPackedIndexMask;
-  const std::int64_t lp_cell = base + lp_off_[dir];
-  const std::uint32_t a = cells[base];
-  const std::uint32_t b = cells[lp_cell];
-  const std::uint32_t mask =
-      ((a ^ b) >> kNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
-  cells[base] = a ^ ((a ^ b) & mask);
-  cells[lp_cell] = b ^ ((a ^ b) & mask);
-  if (mask != 0) {
-    // Different colors: the particles exchanged cells; each keeps its
-    // own color nibble, only the address parts swap.
-    std::uint32_t& pcj = pcell_[static_cast<std::size_t>(qj)];
-    const std::uint32_t addr_i = pci & kPackedIndexMask;
-    pci = (pci & ~kPackedIndexMask) | (pcj & kPackedIndexMask);
-    pcj = (pcj & ~kPackedIndexMask) | addr_i;
-  }
+  std::uint32_t& pcj = pcell_[static_cast<std::size_t>(qj)];
+  const std::uint32_t addr_i = pci & kPackedIndexMask;
+  const std::uint32_t addr_j = pcj & kPackedIndexMask;
+  std::swap(cells[addr_i], cells[addr_j]);
+  pci = (pci & ~kPackedIndexMask) | addr_j;
+  pcj = (pcj & ~kPackedIndexMask) | addr_i;
 }
 
-std::size_t SeparationChain::walk_arena(std::size_t count) {
+std::size_t SeparationChain::walk_arena(const Proposal* cur,
+                                        std::size_t count, Proposal* next,
+                                        std::size_t next_count,
+                                        std::uint64_t& words) {
   const bool swaps = params_.swaps_enabled;
   const double* const pow_l = pow_lambda_ + kMaxExp;
   const double* const pow_g = pow_gamma_ + kMaxExp;
-  const Proposal* const block = block_.data();
+  const std::uint64_t n = sys_.size();
+  // The decode ahead advances a local generator, kept in registers
+  // across the walk, and stores it back at the end.
+  util::Rng rng = rng_;
+  std::uint64_t drawn = 0;
   // Block-local counts, added to counters_ once at the end.
   Counters c;
   const std::uint32_t* cells = cells_.data();
+  const std::uint32_t* pcell = pcell_.data();
   std::size_t stop = count;
 
   for (std::size_t t = 0; t < count; ++t) {
-    const ParticleIndex pi = block[t].pi;
-    const int dir = block[t].dir;
-    const double q = util::decode_uniform_open(block[t].q);
+    const ParticleIndex pi = cur[t].pi;
+    const int dir = cur[t].dir;
+    const std::uint64_t q = cur[t].q;
+    // No data flows between this decode and the tick below, so the two
+    // overlap.
+    if (t < next_count) decode(rng, n, next, t, t + 1, drawn);
 
-    const std::uint32_t pc = pcell_[static_cast<std::size_t>(pi)];
+    const std::uint32_t pc = pcell[static_cast<std::size_t>(pi)];
     const std::int64_t base = pc & kPackedIndexMask;
-    const std::int32_t* const ring = ring_off_[dir];
-    unsigned occ = 1u << NeighborhoodGather::kNodeL;
-    std::uint64_t nib = 0;
-    for (std::size_t k = 0; k < 8; ++k) {
-      const std::uint32_t cl = cells[base + ring[k]];
-      occ |= static_cast<unsigned>(cl != 0) << k;
-      nib ^= static_cast<std::uint64_t>(cl >> kNibbleShift) << (4 * k);
-    }
     const std::uint32_t lpc = cells[base + lp_off_[dir]];
-    occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-    nib ^= static_cast<std::uint64_t>(lpc >> kNibbleShift) << 36;
-    nib ^= static_cast<std::uint64_t>(pc >> kNibbleShift) << 32;
+    // The gathered nibbles carry the occupancy: an occupied cell's is
+    // color ^ 0xF, bit 3 set as colors are below 8, an empty cell's 0.
+    // So l' is occupied exactly when lpc != 0, and the move path's
+    // ring_mask() reads the ring from the nibbles; no `occ` is built.
     NeighborhoodView nb;
-    nb.occ = static_cast<std::uint16_t>(occ);
-    nb.color_nibbles ^= nib;
-    nb.p_at_l = pi;
-    nb.p_at_lp = static_cast<ParticleIndex>(lpc & kCellIndexMask) - 1;
+    nb.color_nibbles ^=
+        static_cast<std::uint64_t>(pc >> kNibbleShift) << 32 |
+        static_cast<std::uint64_t>(lpc >> kNibbleShift) << 36;
+    const std::int32_t* const ring = ring_off_[dir];
+    const auto gather_ring = [&nb, cells, base, ring]() noexcept {
+      std::uint64_t nib = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        nib |= static_cast<std::uint64_t>(cells[base + ring[k]] >>
+                                          kNibbleShift)
+               << (4 * k);
+      }
+      nb.color_nibbles ^= nib;
+    };
 
-    if (!nb.lp_occupied()) {
-      ++c.move_proposals;
-      const Color ci = nb.color_at(NeighborhoodView::kNodeL);
-      const int e = nb.e();
-      if (e == 5) {
-        ++c.rejected_five;
-        continue;
+    if (lpc != 0) {
+      if (!swaps) continue;
+      ++c.swap_proposals;
+      // A like-colored swap's exponent reads no ring node
+      // (swap_exponent), and accepting it changes nothing.
+      const bool like = ((pc ^ lpc) >> kNibbleShift) == 0;
+      if (!like) gather_ring();
+      const int sx = nb.swap_exponent();
+      if (util::decode_uniform_open(q) >= pow_g[sx]) continue;
+      ++c.swaps_accepted;
+      if (!like) {
+        arena_swap(pi, static_cast<ParticleIndex>(lpc & kCellIndexMask) - 1,
+                   sx);
       }
-      if (!nb.move_locality_ok()) {
-        ++c.rejected_locality;
-        continue;
-      }
-      const int ei = nb.e_i(ci);
-      const int ep = nb.e_prime();
-      const int epi = nb.e_prime_i(ci);
-      if (q >= pow_l[ep - e] * pow_g[epi - ei]) {
-        ++c.rejected_metropolis;
-        continue;
-      }
-      ++c.moves_accepted;
-      if (!arena_move(pi, dir, ep - e, (ep - epi) - (e - ei))) {
-        stop = t + 1;
-        break;
-      }
-      cells = cells_.data();  // a drift rebuild may have moved the arena
       continue;
     }
 
-    if (!swaps) continue;
-    ++c.swap_proposals;
-    const int sx = nb.swap_exponent();
-    if (q >= pow_g[sx]) continue;
-    ++c.swaps_accepted;
-    arena_swap(pi, nb.p_at_lp, dir, sx);
+    gather_ring();
+    ++c.move_proposals;
+    const Color ci = nb.color_at(NeighborhoodView::kNodeL);
+    const int e = nb.e();
+    if (e == 5) {
+      ++c.rejected_five;
+      continue;
+    }
+    if (!nb.move_locality_ok()) {
+      ++c.rejected_locality;
+      continue;
+    }
+    const int ei = nb.e_i(ci);
+    const int ep = nb.e_prime();
+    const int epi = nb.e_prime_i(ci);
+    if (util::decode_uniform_open(q) >= pow_l[ep - e] * pow_g[epi - ei]) {
+      ++c.rejected_metropolis;
+      continue;
+    }
+    ++c.moves_accepted;
+    if (!arena_move(pi, dir, ep - e, (ep - epi) - (e - ei))) {
+      stop = t + 1;
+      break;
+    }
+    // A drift rebuild may have moved the arena.
+    cells = cells_.data();
+    pcell = pcell_.data();
   }
 
+  rng_ = rng;
+  words += drawn;
   counters_.move_proposals += c.move_proposals;
   counters_.moves_accepted += c.moves_accepted;
   counters_.rejected_five += c.rejected_five;

@@ -87,11 +87,13 @@ class SeparationChain {
   bool step_reference();
 
   /// Runs `iterations` steps, byte-identical to the same number of
-  /// step() calls: same trajectory, counters, and final RNG state. Each
-  /// block of kBlockSize proposals is drawn in one bulk RNG refill and
-  /// decoded, then walked over a dense occupancy arena (below) instead
-  /// of the FlatMap. The chain keeps its arena across calls, so a
-  /// trajectory split into many short run() calls builds it once.
+  /// step() calls: same trajectory, counters, and final RNG state.
+  /// Proposals are decoded in blocks of kBlockSize and walked over a
+  /// dense occupancy arena (below) instead of the FlatMap. The call's
+  /// first block is decoded up front, and each later one while the walk
+  /// runs the block before it; nothing is drawn past the call's last
+  /// block. The chain keeps its arena across calls, so a trajectory
+  /// split into many short run() calls builds it once.
   void run(std::uint64_t iterations);
 
   /// Runs `iterations` reference-path steps.
@@ -119,9 +121,9 @@ class SeparationChain {
 
   /// Telemetry of run() only; never feeds back into any trajectory.
   struct RunStats {
-    std::uint64_t blocks = 0;          ///< decoded blocks
-    std::uint64_t refill_words = 0;    ///< bulk-refilled raw words
-    std::uint64_t tail_words = 0;      ///< Lemire-rejection spill draws
+    std::uint64_t blocks = 0;          ///< walked blocks
+    std::uint64_t words = 0;           ///< raw words drawn for proposals
+    std::uint64_t tail_words = 0;      ///< of those, Lemire rejections
     std::uint64_t arena_rebuilds = 0;  ///< arena (re)builds
     std::uint64_t flatmap_steps = 0;   ///< steps run by advance()
   };
@@ -138,7 +140,7 @@ class SeparationChain {
   /// counters_ every field but steps, which the caller owns.
   bool advance(system::ParticleIndex pi, int dir, double q);
 
-  // ---- run(): decode a block, walk it over the arena ------------------
+  // ---- run(): walk a block over the arena, decode the next -----------
   //
   // While run() executes, a valid arena is the occupancy: accepted moves
   // and swaps go through arena_move / arena_swap, which update the
@@ -154,25 +156,39 @@ class SeparationChain {
     std::uint64_t q;  ///< the raw Metropolis word
   };
 
-  void run_block(std::size_t count);
-  /// Draws block_[0, count): one Rng::fill of 3·count words, decoded by
-  /// the shared util::lemire_below, rejection spills drawn from the
-  /// live generator — the draws count step() calls would make.
-  void decode_block(std::size_t count);
-  /// Walks block_[0, count) over the arena. Returns count, or the tick
-  /// after the one whose drift rebuild declined the arena.
-  std::size_t walk_arena(std::size_t count);
+  /// Runs the `count` proposals of `cur` and decodes the `next_count`
+  /// of `next`, each word after every word of `cur`, adding the words
+  /// drawn to `words`.
+  void run_block(const Proposal* cur, std::size_t count, Proposal* next,
+                 std::size_t next_count, std::uint64_t& words);
+  /// The one decoder: proposals [from, to) of `out`, each the three
+  /// draws of step() through util::lemire_below on `rng`, in step()'s
+  /// order. Adds every word drawn to `words`.
+  [[gnu::always_inline]] static inline void decode(util::Rng& rng,
+                                                   std::uint64_t n,
+                                                   Proposal* out,
+                                                   std::size_t from,
+                                                   std::size_t to,
+                                                   std::uint64_t& words);
+  /// Walks cur[0, count) over the arena and, at tick t < next_count,
+  /// decodes next[t] from a local copy of rng_ that it stores back.
+  /// Returns count, or the tick after the one whose drift rebuild
+  /// declined the arena; next[0, min(that, next_count)) is decoded.
+  std::size_t walk_arena(const Proposal* cur, std::size_t count,
+                         Proposal* next, std::size_t next_count,
+                         std::uint64_t& words);
   /// The arena update for an accepted move of `pi` toward `dir` with
   /// e(σ)/h(σ) deltas `de`/`dh`, then the guard-band rebuild. Returns
   /// false when that rebuild declined the arena. Force-inlined: it runs
   /// on every accept.
   [[gnu::always_inline]] inline bool arena_move(system::ParticleIndex pi,
                                                 int dir, int de, int dh);
-  /// The arena update for an accepted swap of `pi` with `qj` at
-  /// pi + dir, swap exponent `sx`.
+  /// The arena update for an accepted swap of `pi` with the neighbor
+  /// `qj` of another color, swap exponent `sx`. A like-colored swap
+  /// changes nothing and never gets here.
   [[gnu::always_inline]] inline void arena_swap(system::ParticleIndex pi,
                                                 system::ParticleIndex qj,
-                                                int dir, int sx);
+                                                int sx);
   /// (Re)builds the arena around the bounding box; arena_ok_ = false
   /// when the box is uneconomical (see the economy rule there).
   void rebuild_arena();
@@ -195,10 +211,9 @@ class SeparationChain {
   double pow_lambda_[2 * kMaxExp + 1];
   double pow_gamma_[2 * kMaxExp + 1];
 
-  // run()'s state, derived from the configuration. Buffers are sized on
-  // the first run().
+  // run()'s state, derived from the configuration. The two proposal
+  // blocks, walked and decoded ahead, are sized on the first run().
   std::vector<Proposal> block_;
-  std::vector<std::uint64_t> raw_;
   // The arena: a dense w_ × h_ plane of 32-bit cells over the bounding
   // box plus a margin, box origin (x0_, y0_). pcell_[i] packs particle
   // i's cell index (low 28 bits) with its encoded color nibble.

@@ -78,6 +78,18 @@ inline constexpr std::uint64_t kNibbleOnes = 0x1111111111ULL;
   return static_cast<int>(((v * kNibbleOnes) >> 36) & 0xFu);
 }
 
+/// The 8-bit ring mask of a nibble-expanded node set: bit 4i of `v`
+/// for ring node i < 8 packed into bit i, the inverse of expand_nodes on
+/// the ring, in three shift-or-mask rounds (two bits per byte, four per
+/// half, eight).
+[[nodiscard]] constexpr std::uint8_t pack_ring_nibbles(
+    std::uint64_t v) noexcept {
+  v &= 0x11111111ULL;
+  v = (v | (v >> 3)) & 0x03030303ULL;
+  v = (v | (v >> 6)) & 0x000F000FULL;
+  return static_cast<std::uint8_t>(v | (v >> 12));
+}
+
 namespace detail {
 
 // Property 4 as a pure function of the 8-bit ring mask (commons at ring
@@ -186,8 +198,12 @@ struct NeighborhoodView : system::NeighborhoodGather {
   [[nodiscard]] system::Color color_at(int i) const noexcept {
     return static_cast<system::Color>((color_nibbles >> (4 * i)) & 0xFu);
   }
+  /// Bit i set iff ring node i is occupied, read from the nibbles (so
+  /// a caller that fills only the nibbles, SeparationChain::run's arena
+  /// walk, gets it too). Equals `occ & kRingNodes` on every gather
+  /// (tests/neighborhood_test.cpp).
   [[nodiscard]] std::uint8_t ring_mask() const noexcept {
-    return static_cast<std::uint8_t>(occ & kRingNodes);
+    return pack_ring_nibbles(occupied_nibbles());
   }
 
   /// Bit 4i set iff node i is occupied: colors are below 8 and empty

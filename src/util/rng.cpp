@@ -19,28 +19,4 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   return lemire_below([this] { return next(); }, bound);
 }
 
-void Rng::fill(std::uint64_t* out, std::size_t count) noexcept {
-  // Hoist the state into locals so the compiler keeps it in registers
-  // across the loop; the loop body is the exact next() update, so the
-  // emitted words and the post-loop state match `count` next() calls.
-  std::uint64_t s0 = s_[0];
-  std::uint64_t s1 = s_[1];
-  std::uint64_t s2 = s_[2];
-  std::uint64_t s3 = s_[3];
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = rotl(s0 + s3, 23) + s0;
-    const std::uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = rotl(s3, 45);
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 }  // namespace sops::util

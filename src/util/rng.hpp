@@ -42,9 +42,9 @@ struct SplitMix64 {
 /// words. `next` is invoked once, plus once per rejection, so the word
 /// consumption order is fully determined by (word values, bound). This
 /// is the single definition of the decode: Rng::below wraps it around
-/// the live generator, and SeparationChain::run wraps it around a
-/// pre-refilled block of raw outputs — guaranteeing both consume the
-/// identical underlying sequence.
+/// the live generator, and SeparationChain::run around a local copy of
+/// the chain's generator that it stores back — guaranteeing both
+/// consume the identical underlying sequence.
 template <typename Next>
 [[nodiscard]] std::uint64_t lemire_below(Next&& next,
                                          std::uint64_t bound) noexcept {
@@ -97,13 +97,6 @@ class Rng {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
-
-  /// Writes the next `count` raw outputs into `out` — exactly the words
-  /// `count` successive next() calls would return, leaving the generator
-  /// in the identical post-state. The bulk refill behind
-  /// SeparationChain::run's decode: the state lives in registers for the
-  /// whole loop instead of round-tripping through memory once per word.
-  void fill(std::uint64_t* out, std::size_t count) noexcept;
 
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform() noexcept {

@@ -3,11 +3,12 @@
 // positions, colors, edge counts, all eight counters, post-run RNG
 // state, and an occupancy index in sync with the positions — on both
 // of run()'s paths (the arena walk, and step()'s body on the FlatMap
-// for ticks the arena cannot serve), at every setting, across segment
-// splits, step() calls between segments, arena re-centers and a
-// mid-walk arena decline. The suite keeps the name of StepPipeline,
-// the single-chain executor it first tested, so the test ids carry
-// over.
+// for ticks the arena cannot serve), at every setting, at lengths on
+// block edges (run() decodes each block while it walks the one before),
+// across segment splits, step() calls between segments, arena
+// re-centers and a mid-walk arena decline. The suite keeps the name of
+// StepPipeline, the single-chain executor it first tested, so the test
+// ids carry over.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,6 +146,44 @@ TEST(StepPipeline, BlockSizeNeverChangesTheTrajectory) {
   }
 }
 
+// run() decodes each block while it walks the one before, and the
+// call's first block up front. Lengths one short of, at and one past a
+// block edge, one and two blocks in, must leave the generator exactly
+// where step() does after every call: a decode that draws past the
+// call's last block, or mis-sizes a short last block, fails here.
+TEST(StepPipeline, BlockEdgeLengthsLeaveTheSerialGenerator) {
+  constexpr std::uint64_t kBlock = SeparationChain::kBlockSize;
+  for (const Setting& s : kSettings) {
+    for (const std::uint64_t len : {kBlock - 1, kBlock, kBlock + 1,
+                                    2 * kBlock - 1, 2 * kBlock,
+                                    2 * kBlock + 1}) {
+      SeparationChain serial = make_chain(s.n, s.k, s.params, s.seed);
+      SeparationChain run_driven = make_chain(s.n, s.k, s.params, s.seed);
+      for (std::uint64_t i = 0; i < len; ++i) serial.step();
+      run_driven.run(len);
+      const std::string what = "seed " + std::to_string(s.seed) +
+                               " run(" + std::to_string(len) + ")";
+      EXPECT_EQ(run_driven.rng_state(), serial.rng_state()) << what;
+      expect_same_state(serial, run_driven, what);
+      expect_rng_in_sync(serial, run_driven, what);
+    }
+    // Calls of two blocks and one step: every call ends on a one-step
+    // block whose predecessor decoded it ahead.
+    SeparationChain serial = make_chain(s.n, s.k, s.params, s.seed);
+    SeparationChain run_driven = make_chain(s.n, s.k, s.params, s.seed);
+    for (int call = 0; call < 8; ++call) {
+      for (std::uint64_t i = 0; i < 2 * kBlock + 1; ++i) serial.step();
+      run_driven.run(2 * kBlock + 1);
+      ASSERT_EQ(run_driven.rng_state(), serial.rng_state())
+          << "seed " << s.seed << " call " << call;
+    }
+    const std::string what =
+        "seed " + std::to_string(s.seed) + " 8 calls of 2·256 + 1";
+    expect_same_state(serial, run_driven, what);
+    expect_rng_in_sync(serial, run_driven, what);
+  }
+}
+
 // Odd-sized segments across one long-lived chain: partial blocks and
 // buffer reuse between run() calls. A zero-length call draws nothing.
 TEST(StepPipeline, SegmentSplitsNeverChangeTheTrajectory) {
@@ -249,8 +288,9 @@ TEST(StepPipeline, MatchesReferenceTwinTrajectory) {
   }
 }
 
-// The block and refill ledger accounts for every proposal, and a
-// connected blob never leaves the arena walk.
+// The block and word ledger accounts for every proposal: three words
+// each plus the Lemire rejections, none drawn past the run. A connected
+// blob never leaves the arena walk.
 TEST(StepPipeline, StatsAccountForEveryProposal) {
   const Setting& s = kSettings[3];
   SeparationChain chain = make_chain(s.n, s.k, s.params, s.seed);
@@ -258,7 +298,7 @@ TEST(StepPipeline, StatsAccountForEveryProposal) {
   const SeparationChain::RunStats& st = chain.run_stats();
   EXPECT_EQ(st.blocks, (50000u + SeparationChain::kBlockSize - 1) /
                            SeparationChain::kBlockSize);
-  EXPECT_EQ(st.refill_words, 3u * 50000u);
+  EXPECT_EQ(st.words, 3u * 50000u + st.tail_words);
   EXPECT_GE(st.arena_rebuilds, 1u);
   EXPECT_EQ(st.flatmap_steps, 0u);
 }
@@ -354,7 +394,10 @@ bool steps_into_guard_band(SeparationChain& serial, lattice::Node origin) {
 
 // A drift rebuild that would grow the plane past the arena cap (2^20
 // cells at this n) declines the arena in the middle of the walk, which
-// hands the rest of the run to step()'s body after syncing the map.
+// hands the rest of the run to step()'s body after syncing the map. The
+// decline lands in a block that is not the call's last, so the walk was
+// decoding the next block ahead when it stopped: the rest of that
+// block must still be decoded in order.
 TEST(StepPipeline, DriftRebuildPastTheArenaCapDeclinesMidWalk) {
   lattice::Node origin;
   SeparationChain serial = cap_decline_chain(&origin);
@@ -362,7 +405,11 @@ TEST(StepPipeline, DriftRebuildPastTheArenaCapDeclinesMidWalk) {
   run_driven.run(kCapDeclineSteps);
   // Only the entry rebuild succeeded.
   EXPECT_EQ(run_driven.run_stats().arena_rebuilds, 1u);
-  EXPECT_GT(run_driven.run_stats().flatmap_steps, 0u);
+  // The call's last block holds kCapDeclineSteps % kBlockSize = 64
+  // steps, so more FlatMap steps than a block means a full block ran
+  // after the one that declined.
+  EXPECT_GT(run_driven.run_stats().flatmap_steps,
+            SeparationChain::kBlockSize);
   EXPECT_LT(run_driven.run_stats().flatmap_steps, kCapDeclineSteps);
   EXPECT_TRUE(steps_into_guard_band(serial, origin))
       << "the chain never drifted into its guard band";

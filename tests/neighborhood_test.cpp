@@ -139,7 +139,9 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
               << int(c);
         }
 
-        // Locality: LUT vs run analysis on the actual ring read.
+        // Locality: LUT vs run analysis on the actual ring read, and
+        // the nibble-derived ring mask against the gathered `occ`.
+        ASSERT_EQ(nb.ring_mask(), nb.occ & kRingNodes);
         const RingOccupancy ro = RingOccupancy::read(sys, l, dir);
         EXPECT_EQ(property4_lut(nb.ring_mask()), property4(ro));
         EXPECT_EQ(property5_lut(nb.ring_mask()), property5(ro));
@@ -156,6 +158,36 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
                                sys.neighbor_count_color(lp, cj));
           EXPECT_EQ(nb.swap_exponent(), ref_exp);
         }
+      }
+    }
+  }
+}
+
+// SeparationChain::run's arena walk gathers only the nibbles of its
+// cells (color ^ 0xF when occupied, 0 when empty) and reads the ring
+// from them. Over every occupancy pattern of the ten nodes and every
+// color below kMaxColors, alone or mixed, that mask must be the
+// `cell != 0` mask of the eight ring cells.
+TEST(NeighborhoodViewTest, RingMaskFromNibblesMatchesOccupiedCells) {
+  for (unsigned mask = 0; mask < 1024; ++mask) {
+    const auto nodes = static_cast<std::uint16_t>(mask);
+    ASSERT_EQ(pack_ring_nibbles(expand_nodes(nodes)), mask & kRingNodes)
+        << "mask " << mask;
+    for (unsigned c = 0; c < system::kMaxColors; ++c) {
+      for (const bool mixed : {false, true}) {
+        std::uint64_t nib = 0;
+        unsigned occupied_cells = 0;
+        for (unsigned i = 0; i < 10; ++i) {
+          const unsigned color = mixed ? (c + i) % system::kMaxColors : c;
+          const std::uint32_t cell =
+              ((mask >> i) & 1u) ? (color ^ 0xFu) << 28 | (i + 1) : 0;
+          occupied_cells |= static_cast<unsigned>(cell != 0) << i;
+          nib |= static_cast<std::uint64_t>(cell >> 28) << (4 * i);
+        }
+        NeighborhoodView nb;
+        nb.color_nibbles ^= nib;
+        ASSERT_EQ(nb.ring_mask(), occupied_cells & kRingNodes)
+            << "mask " << mask << " color " << c << " mixed " << mixed;
       }
     }
   }

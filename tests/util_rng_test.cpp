@@ -190,74 +190,35 @@ TEST(Rng, BelowSixDrawOrderIsPinned) {
 }
 
 // ---------------------------------------------------------------------
-// Bulk refill. fill(out, n) is the block-refill primitive behind
-// SeparationChain::run's decode, which relies on it being
-// stream-equivalent to n next() calls — same words, same post-state —
-// so a block boundary is invisible to the trajectory.
+// Decode over a copy. SeparationChain::run decodes the next block's
+// proposals through lemire_below on a local copy of the chain's
+// generator and stores the copy back when its walk ends; the walks cut
+// the stream at arbitrary draw boundaries, so the copies must
+// concatenate to the live generator's stream.
 
-TEST(Rng, FillMatchesRepeatedNextAndPostState) {
-  for (const std::size_t count : {0u, 1u, 2u, 3u, 7u, 64u, 1000u, 12288u}) {
-    Rng bulk(8675309), serial(8675309);
-    std::vector<std::uint64_t> buf(count, 0xDEADBEEFu);
-    bulk.fill(buf.data(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(buf[i], serial.next()) << "count " << count << " word " << i;
-    }
-    ASSERT_EQ(bulk.state(), serial.state()) << "count " << count;
-    // And the streams stay merged afterwards.
-    for (int i = 0; i < 8; ++i) ASSERT_EQ(bulk.next(), serial.next());
-  }
-}
-
-TEST(Rng, FillZeroIsANoOp) {
-  Rng rng(44);
-  const Rng::State before = rng.state();
-  rng.fill(nullptr, 0);
-  EXPECT_EQ(rng.state(), before);
-}
-
-TEST(Rng, FillChunksConcatenateToOneStream) {
-  // Refilling in blocks of varying size must concatenate to the same
-  // stream as one big fill — SeparationChain::run's block size is
-  // never a trajectory input.
-  Rng chunked(314159), whole(314159);
-  std::vector<std::uint64_t> got;
-  const std::size_t sizes[] = {1, 5, 0, 256, 3, 1024, 7};
-  for (const std::size_t s : sizes) {
-    std::vector<std::uint64_t> buf(s);
-    chunked.fill(buf.data(), s);
-    got.insert(got.end(), buf.begin(), buf.end());
-  }
-  std::vector<std::uint64_t> expect(got.size());
-  whole.fill(expect.data(), expect.size());
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(chunked.state(), whole.state());
-}
-
-TEST(Rng, FillBufferDecodeMatchesLiveBelowAcrossRejections) {
-  // SeparationChain::run's decode idiom: bulk-fill a block, decode
-  // with lemire_below over the buffer, spill to the live generator once
-  // the buffer runs dry. With bound = 2^63 + 1 (≈ half of all words
-  // rejected) the spill point lands mid-rejection-chain often; the
-  // decoded values and final state must still match direct below()
-  // calls on a twin.
+TEST(Rng, CopyDecodeMatchesLiveBelowAcrossRejections) {
+  // With bound = 2^63 + 1 (≈ half of all words rejected) a cut lands
+  // right after a rejection chain often; the decoded values and final
+  // state must still match direct below() calls on a twin.
   constexpr std::uint64_t kBound = (1ULL << 63) + 1;
-  constexpr std::size_t kWords = 257;  // deliberately not a draw multiple
-  Rng buffered(161803), live(161803);
-  std::uint64_t buf[kWords];
-  buffered.fill(buf, kWords);
-  std::size_t cursor = 0;
-  const auto take = [&]() noexcept {
-    if (cursor < kWords) return buf[cursor++];
-    return buffered.next();
-  };
-  // 200 draws at ~2 words each overruns the 257-word buffer partway in.
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(lemire_below(take, kBound), live.below(kBound)) << "draw " << i;
+  Rng owner(161803), live(161803);
+  std::uint64_t words = 0;
+  int draw = 0;
+  for (const int chunk : {1, 7, 0, 64, 3, 125}) {
+    Rng local = owner;
+    const auto next = [&]() noexcept {
+      ++words;
+      return local.next();
+    };
+    for (int i = 0; i < chunk; ++i, ++draw) {
+      ASSERT_EQ(lemire_below(next, kBound), live.below(kBound))
+          << "draw " << draw;
+    }
+    owner = local;
+    ASSERT_EQ(owner.state(), live.state()) << "after draw " << draw;
   }
-  ASSERT_GE(cursor, kWords);  // the spill path really ran
-  ASSERT_EQ(buffered.state(), live.state());
-  for (int i = 0; i < 8; ++i) ASSERT_EQ(buffered.next(), live.next());
+  EXPECT_GT(words, 250u);  // the rejection path really ran
+  for (int i = 0; i < 8; ++i) ASSERT_EQ(owner.next(), live.next());
 }
 
 // ---------------------------------------------------------------------
