@@ -208,6 +208,19 @@ void BM_PerimeterWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PerimeterWalk)->Arg(100)->Arg(400);
 
+// One random start blob, as every Figure 2/3 chain and every sweep
+// service task grows before its first step; items are blobs. A fresh
+// blob per iteration, since the generator runs on.
+void BM_RandomBlob(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lattice::random_blob(n, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RandomBlob)->Arg(24)->Arg(200);
+
 void BM_HoleCheck(benchmark::State& state) {
   util::Rng rng(9);
   const system::ParticleSystem sys(lattice::random_blob(200, rng));

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "random seed", "2");
   cli.add_option("lambdas", "comma-separated λ values", "1.1,2,4,6");
   cli.add_option("gammas", "comma-separated γ values", "0.5,1,2,4");
-  cli.add_option("threads", "worker threads (0 = hardware concurrency)", "0");
+  cli.add_option("threads", "tasks at once (0 = hardware concurrency)", "0");
   cli.add_option("telemetry", "append per-task JSONL records to this file",
                  "");
   cli.add_flag("render", "print the final configuration of each cell");

@@ -391,7 +391,7 @@ std::size_t SeparationChain::walk_arena(const Proposal* cur,
     // The gathered nibbles carry the occupancy: an occupied cell's is
     // color ^ 0xF, bit 3 set as colors are below 8, an empty cell's 0.
     // So l' is occupied exactly when lpc != 0, and the move path's
-    // ring_mask() reads the ring from the nibbles; no `occ` is built.
+    // ring_mask() reads the ring from the nibbles.
     NeighborhoodView nb;
     nb.color_nibbles ^=
         static_cast<std::uint64_t>(pc >> kNibbleShift) << 32 |

@@ -7,21 +7,22 @@
 // implementations (markov_chain.cpp, locality.cpp) recompute each
 // quantity with its own pass of hash probes, ~30–40 per step.
 // NeighborhoodView instead reads the ten nodes exactly once
-// (ParticleSystem::gather_neighborhood) and answers every query from
-// two registers:
+// (ParticleSystem::gather_neighborhood) into one register of 4-bit
+// per-node color nibbles (`color_nibbles`, 0xF where empty) and answers
+// every query from it:
 //
-//  - 4-bit per-node color nibbles (`color_nibbles`, 0xF where empty):
-//    every count is a nibble test that leaves bit 4i set per counted
+//  - every count is a nibble test that leaves bit 4i set per counted
 //    node (occupied for the e-style counts, a SWAR color match for the
 //    e_i-style ones), masked by a nibble-expanded node subset and
 //    summed by one multiply (count_nibble_bits) — no POPCNT
 //    instruction, which the baseline x86-64 target lacks, and no
 //    libgcc call in its place;
-//  - a 10-bit occupancy mask (`occ`): Properties 4 and 5 depend only
-//    on its 8-bit ring part, so the 8-cycle run-structure analysis is
-//    precomputed into 256-entry lookup tables at compile time.
+//  - Properties 4 and 5 depend only on the 8-bit ring occupancy mask
+//    packed from the nibbles (ring_mask), so the 8-cycle run-structure
+//    analysis is precomputed into 256-entry lookup tables at compile
+//    time.
 //
-// The node layout (bit i / nibble i) is defined by
+// The node layout (nibble i) is defined by
 // system::NeighborhoodGather: ring indices 0..7 in lattice::EdgeRing
 // order (0 and 4 the common neighbors), 8 = l, 9 = l'.
 //
@@ -171,7 +172,7 @@ inline constexpr RingLut kMoveOkLut = make_ring_lut(
 }
 
 /// One gathered neighborhood plus every per-step query Algorithm 1 asks
-/// of it. All queries are branch-light bit arithmetic on the two words.
+/// of it. All queries are branch-light bit arithmetic on the nibbles.
 struct NeighborhoodView : system::NeighborhoodGather {
   [[nodiscard]] static NeighborhoodView gather(
       const system::ParticleSystem& sys, lattice::Node l, int dir) noexcept {
@@ -187,7 +188,7 @@ struct NeighborhoodView : system::NeighborhoodGather {
   }
 
   [[nodiscard]] bool node_occupied(int i) const noexcept {
-    return (occ >> i) & 1u;
+    return (occupied_nibbles() >> (4 * i)) & 1u;
   }
   [[nodiscard]] bool l_occupied() const noexcept {
     return node_occupied(kNodeL);
@@ -200,8 +201,8 @@ struct NeighborhoodView : system::NeighborhoodGather {
   }
   /// Bit i set iff ring node i is occupied, read from the nibbles (so
   /// a caller that fills only the nibbles, SeparationChain::run's arena
-  /// walk, gets it too). Equals `occ & kRingNodes` on every gather
-  /// (tests/neighborhood_test.cpp).
+  /// walk, gets it too). Equals the ring occupancy RingOccupancy::read
+  /// finds on every gather (tests/neighborhood_test.cpp).
   [[nodiscard]] std::uint8_t ring_mask() const noexcept {
     return pack_ring_nibbles(occupied_nibbles());
   }

@@ -4,10 +4,11 @@
 
 namespace sops::engine {
 
-ThreadPool::ThreadPool(unsigned workers) {
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  threads_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
+ThreadPool::ThreadPool(unsigned tasks) {
+  if (tasks == 0) tasks = std::max(1u, std::thread::hardware_concurrency());
+  // parallel_for's caller runs tasks too, so one thread fewer suffices.
+  threads_.reserve(tasks - 1);
+  for (unsigned i = 1; i < tasks; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -21,11 +22,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_ready_.wait(lock, [this] { return stop_ || next_ < count_; });
-    if (next_ == count_) return;  // stop_, and no batch is live
+void ThreadPool::run_claimed(std::unique_lock<std::mutex>& lock) {
+  while (next_ < count_) {
     const std::size_t i = next_++;
     const std::function<void(std::size_t)>& fn = *fn_;
     ++running_;
@@ -38,7 +36,22 @@ void ThreadPool::worker_loop() {
     }
     lock.lock();
     if (err) errors_.emplace_back(i, std::move(err));
-    if (--running_ == 0 && next_ == count_) caller_.notify_all();
+    --running_;
+  }
+}
+
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    work_ready_.wait(lock, [this] { return stop_ || next_ < count_; });
+    if (next_ == count_) return;  // stop_, and no batch is live
+    run_claimed(lock);
+    if (running_ == 0) {
+      // This was the batch's last task; its caller may be waiting.
+      lock.unlock();
+      caller_.notify_all();
+      lock.lock();
+    }
   }
 }
 
@@ -52,8 +65,15 @@ void ThreadPool::parallel_for(std::size_t count,
     fn_ = &fn;
     count_ = count;
     next_ = 0;
-    work_ready_.notify_all();
-    caller_.wait(lock, [this] { return next_ == count_ && running_ == 0; });
+    // This thread claims indices too, so count − 1 workers are enough.
+    const std::size_t wake = std::min(count - 1, threads_.size());
+    if (wake > 0) {
+      lock.unlock();
+      for (std::size_t k = 0; k < wake; ++k) work_ready_.notify_one();
+      lock.lock();
+    }
+    run_claimed(lock);
+    caller_.wait(lock, [this] { return running_ == 0; });
     // Take the pool's exception_ptrs so they are released on this
     // thread, after the rethrow below, never on a worker.
     errors.swap(errors_);
@@ -63,7 +83,7 @@ void ThreadPool::parallel_for(std::size_t count,
   caller_.notify_all();  // the pool is free for the next caller
   if (!errors.empty()) {
     // Deterministic propagation: the failure with the lowest index wins,
-    // no matter which worker hit it first.
+    // no matter which thread hit it first.
     std::rethrow_exception(
         std::min_element(errors.begin(), errors.end(),
                          [](const auto& a, const auto& b) {

@@ -1,10 +1,14 @@
-// Fixed-size worker pool behind one entry point, parallel_for.
+// Fixed-size task pool behind one entry point, parallel_for.
 //
-// parallel_for publishes (fn, count) and the workers claim indices from
-// one counter, in ascending order: the lowest unclaimed index is always
-// the next to start, whichever worker frees up first. Callers that
+// A pool of size N runs up to N tasks at once: the thread that calls
+// parallel_for and N − 1 worker threads. parallel_for publishes
+// (fn, count), wakes at most min(count − 1, N − 1) workers, and then
+// claims indices itself beside them. Every thread claims from one
+// counter, in ascending order: the lowest unclaimed index is always the
+// next to start, whichever thread frees up first. Callers that
 // enumerate their work in a useful order (the ensemble's task order)
-// get exactly that start order at any worker count.
+// get exactly that start order at any pool size. A pool of size 1
+// starts no thread at all.
 //
 // Determinism contract: the pool schedules *when* tasks run, never what
 // they compute. Ensemble results are reproducible because every task
@@ -25,8 +29,9 @@ namespace sops::engine {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads; 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(unsigned workers = 0);
+  /// Runs up to `tasks` tasks at once, on the caller and `tasks` − 1
+  /// worker threads; 0 means std::thread::hardware_concurrency().
+  explicit ThreadPool(unsigned tasks = 0);
 
   /// Joins the workers.
   ~ThreadPool();
@@ -34,20 +39,25 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Tasks at once: the workers plus the caller.
   [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(threads_.size());
+    return static_cast<unsigned>(threads_.size()) + 1;
   }
 
-  /// Runs fn(0) … fn(count−1) across the pool, starting them in
-  /// ascending index order, and blocks until all are done. If any
-  /// invocations throw, rethrows the one with the lowest index (a
-  /// deterministic choice regardless of scheduling). Concurrent callers
-  /// take turns. Must not be called from inside a pool task.
+  /// Runs fn(0) … fn(count−1) on the calling thread and the workers,
+  /// starting them in ascending index order, and blocks until all are
+  /// done. If any invocations throw, rethrows the one with the lowest
+  /// index (a deterministic choice regardless of scheduling). Concurrent
+  /// callers take turns. Must not be called from inside a pool task.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();
+  /// Claims the lowest unclaimed index of the live batch and runs it
+  /// with the lock released, until every index is claimed. Enters and
+  /// leaves with `lock` held.
+  void run_claimed(std::unique_lock<std::mutex>& lock);
 
   // mutex_ guards the fields up to threads_. A batch is live while fn_
   // is set; it is finished once every index is claimed and none is

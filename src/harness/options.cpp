@@ -36,7 +36,7 @@ Options parse_options(int argc, char** argv, bool with_shard,
   util::Cli cli;
   cli.add_flag("full", "run at paper scale");
   cli.add_option("seed", "base random seed", "1");
-  cli.add_option("threads", "worker threads (0 = hardware concurrency)", "0");
+  cli.add_option("threads", "tasks at once (0 = hardware concurrency)", "0");
   cli.add_option("telemetry", "append per-task JSONL records to this file",
                  "");
   if (with_shard) {

@@ -4,7 +4,7 @@
 //   --full         paper-scale iteration counts (defaults are ~10x smaller
 //                  so the whole suite runs in a few minutes)
 //   --seed S       base RNG seed
-//   --threads N    engine worker threads (0 = hardware concurrency);
+//   --threads N    engine tasks at once (0 = hardware concurrency);
 //                  results are bit-identical for every N — see src/engine
 //   --telemetry F  append per-task JSONL telemetry records to F
 //

@@ -1,10 +1,10 @@
 #include "src/lattice/shapes.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
-
-#include "src/util/hash_table.hpp"
 
 namespace sops::lattice {
 
@@ -28,21 +28,105 @@ namespace {
   return out;
 }
 
-/// True iff the occupied neighbors of `v` form one nonempty contiguous
-/// cyclic run — the local condition under which attaching `v` to an
-/// arrangement keeps it hole-free and simply connected.
-[[nodiscard]] bool contiguous_occupied_ring(const util::FlatSet& occ, Node v) {
-  int occupied_count = 0;
-  int transitions = 0;
-  bool prev = occ.contains(pack(neighbor(v, kDegree - 1)));
-  for (int k = 0; k < kDegree; ++k) {
-    const bool cur = occ.contains(pack(neighbor(v, k)));
-    occupied_count += cur ? 1 : 0;
-    transitions += (cur != prev) ? 1 : 0;
-    prev = cur;
+/// Bit m set iff the 6-bit mask m (bit k: the neighbor in direction k
+/// is occupied) is one nonempty contiguous cyclic run — the local
+/// condition under which attaching a node to an arrangement keeps it
+/// hole-free and simply connected.
+constexpr std::uint64_t kContiguousRing = [] {
+  std::uint64_t bits = 0;
+  for (unsigned m = 1; m < 64; ++m) {
+    int transitions = 0;
+    for (int k = 0; k < kDegree; ++k) {
+      const unsigned prev = (m >> ((k + kDegree - 1) % kDegree)) & 1u;
+      transitions += ((m >> k) & 1u) != prev ? 1 : 0;
+    }
+    if (transitions <= 2) bits |= 1ULL << m;
   }
-  return occupied_count > 0 && transitions <= 2;
-}
+  return bits;
+}();
+
+/// random_blob's occupied and frontier flags, one byte per node over a
+/// box of G_Δ, row-major in y. Every placed node keeps kMargin nodes of
+/// box on each side, so the frontier and each frontier node's six
+/// neighbors lie inside it.
+class BlobGrid {
+ public:
+  static constexpr std::uint8_t kOccupied = 1;
+  static constexpr std::uint8_t kFrontier = 2;
+
+  explicit BlobGrid(std::int32_t side)
+      : x0_(-side / 2),
+        y0_(-side / 2),
+        w_(side),
+        h_(side),
+        flags_(static_cast<std::size_t>(side) *
+               static_cast<std::size_t>(side)) {}
+
+  [[nodiscard]] std::uint8_t& at(Node v) noexcept { return flags_[index(v)]; }
+
+  /// True iff the occupied neighbors of `v` form one nonempty
+  /// contiguous cyclic run.
+  [[nodiscard]] bool attachable(Node v) const noexcept {
+    const std::uint8_t* f = flags_.data() + index(v);
+    const std::ptrdiff_t w = w_;
+    const unsigned mask = (f[1] & kOccupied) | (f[w] & kOccupied) << 1 |
+                          (f[w - 1] & kOccupied) << 2 |
+                          (f[-1] & kOccupied) << 3 |
+                          (f[-w] & kOccupied) << 4 |
+                          (f[1 - w] & kOccupied) << 5;
+    return (kContiguousRing >> mask) & 1u;
+  }
+
+  /// Makes room for placing `v`, a neighbor of a placed node: doubles
+  /// the box toward each edge that `v` comes within kMargin of. One
+  /// doubling suffices, since `v` lies at least kMargin − 1 inside.
+  void reserve_around(Node v) {
+    std::int32_t x0 = x0_;
+    std::int32_t y0 = y0_;
+    std::int32_t w = w_;
+    std::int32_t h = h_;
+    if (v.x - x0 < kMargin) {
+      x0 -= w;
+      w *= 2;
+    } else if (x0 + w - 1 - v.x < kMargin) {
+      w *= 2;
+    }
+    if (v.y - y0 < kMargin) {
+      y0 -= h;
+      h *= 2;
+    } else if (y0 + h - 1 - v.y < kMargin) {
+      h *= 2;
+    }
+    if (w == w_ && h == h_) return;
+    std::vector<std::uint8_t> flags(static_cast<std::size_t>(w) *
+                                    static_cast<std::size_t>(h));
+    for (std::int32_t row = 0; row < h_; ++row) {
+      const auto* src = flags_.data() + static_cast<std::ptrdiff_t>(row) * w_;
+      auto* dst = flags.data() +
+                  static_cast<std::ptrdiff_t>(row + y0_ - y0) * w + (x0_ - x0);
+      std::copy(src, src + w_, dst);
+    }
+    flags_.swap(flags);
+    x0_ = x0;
+    y0_ = y0;
+    w_ = w;
+    h_ = h;
+  }
+
+ private:
+  static constexpr std::int32_t kMargin = 2;
+
+  [[nodiscard]] std::size_t index(Node v) const noexcept {
+    return static_cast<std::size_t>(v.y - y0_) * static_cast<std::size_t>(w_) +
+           static_cast<std::size_t>(v.x - x0_);
+  }
+
+  std::int32_t x0_;
+  std::int32_t y0_;
+  std::int32_t w_;
+  std::int32_t h_;
+  std::vector<std::uint8_t> flags_;
+};
 
 }  // namespace
 
@@ -102,50 +186,52 @@ std::vector<Node> parallelogram(std::int32_t cols, std::int32_t rows) {
 
 std::vector<Node> random_blob(std::size_t n, util::Rng& rng) {
   if (n == 0) return {};
-  std::vector<Node> out{Node{0, 0}};
-  util::FlatSet occ;
-  occ.insert(pack(Node{0, 0}));
-
+  std::vector<Node> out;
+  out.reserve(n);
+  // A random blob of n nodes spans about 1.5·√n nodes on each axis, so
+  // this box rarely needs to grow.
+  const double span = 2.0 * std::sqrt(static_cast<double>(n));
+  BlobGrid grid(static_cast<std::int32_t>(span) + 8);
   std::vector<Node> frontier;
-  util::FlatSet in_frontier;
-  const auto push_frontier = [&](Node v) {
-    const std::uint64_t key = pack(v);
-    if (!occ.contains(key) && in_frontier.insert(key)) frontier.push_back(v);
+  const auto place = [&](Node v) {
+    grid.reserve_around(v);
+    grid.at(v) = BlobGrid::kOccupied;
+    out.push_back(v);
+    for (int k = 0; k < kDegree; ++k) {
+      const Node u = neighbor(v, k);
+      std::uint8_t& flag = grid.at(u);
+      if (flag == 0) {
+        flag = BlobGrid::kFrontier;
+        frontier.push_back(u);
+      }
+    }
   };
-  for (int k = 0; k < kDegree; ++k) push_frontier(neighbor(Node{0, 0}, k));
+  place(Node{0, 0});
 
   while (out.size() < n) {
-    Node chosen{};
-    bool found = false;
+    std::size_t chosen = frontier.size();
     // Random picks first; fall back to a scan so termination is certain
     // (a valid attachment always exists on the outer boundary).
-    for (int attempt = 0; attempt < 64 && !found; ++attempt) {
+    for (int attempt = 0; attempt < 64; ++attempt) {
       const auto idx = static_cast<std::size_t>(rng.below(frontier.size()));
-      if (contiguous_occupied_ring(occ, frontier[idx])) {
-        chosen = frontier[idx];
-        frontier[idx] = frontier.back();
-        frontier.pop_back();
-        found = true;
+      if (grid.attachable(frontier[idx])) {
+        chosen = idx;
+        break;
       }
     }
-    if (!found) {
-      for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
-        if (contiguous_occupied_ring(occ, frontier[idx])) {
-          chosen = frontier[idx];
-          frontier[idx] = frontier.back();
-          frontier.pop_back();
-          found = true;
-          break;
-        }
-      }
+    if (chosen == frontier.size()) {
+      chosen = static_cast<std::size_t>(
+          std::find_if(frontier.begin(), frontier.end(),
+                       [&grid](Node v) { return grid.attachable(v); }) -
+          frontier.begin());
     }
-    if (!found) {
+    if (chosen == frontier.size()) {
       throw std::logic_error("random_blob: no valid attachment node");
     }
-    in_frontier.erase(pack(chosen));
-    occ.insert(pack(chosen));
-    out.push_back(chosen);
-    for (int k = 0; k < kDegree; ++k) push_frontier(neighbor(chosen, k));
+    const Node v = frontier[chosen];
+    frontier[chosen] = frontier.back();
+    frontier.pop_back();
+    place(v);
   }
   return out;
 }

@@ -9,10 +9,12 @@
 // reading stalls only itself, and an idle peer holds only a descriptor
 // and its buffers: no timeout is needed, and shutdown is immediate. One
 // executor thread drains a bounded FIFO of accepted jobs and runs each
-// through engine::run_ensemble on the shared ThreadPool. Exactly one
-// job computes at a time — the pool already saturates the machine's
-// cores per job, so job-level concurrency would only add
-// nondeterministic contention. Backpressure is therefore explicit and
+// through engine::run_ensemble on the shared ThreadPool, whose caller
+// it is: the executor runs the job's tasks itself beside the pool's
+// pool_threads − 1 workers, so a job of k tasks wakes at most k − 1 of
+// them. Exactly one job computes at a time — the pool already
+// saturates the machine's cores per job, so job-level concurrency
+// would only add nondeterministic contention. Backpressure is therefore explicit and
 // early: a submit that would push the queue past its limit is refused
 // synchronously ("queue-full"), never buffered into an unbounded
 // backlog.
@@ -49,7 +51,7 @@ namespace sops::service {
 
 struct ServerConfig {
   std::string socket_path;
-  unsigned pool_threads = 0;     ///< ensemble pool size (0 = hardware)
+  unsigned pool_threads = 0;     ///< tasks at once (0 = hardware)
   std::size_t queue_limit = 64;  ///< max queued (not yet running) jobs
   std::size_t max_job_tasks = 1u << 16;  ///< per-job task-table ceiling
   std::size_t retain_limit = 4096;  ///< terminal jobs kept for result/status
@@ -63,9 +65,9 @@ class SweepServer {
   SweepServer(const SweepServer&) = delete;
   SweepServer& operator=(const SweepServer&) = delete;
 
-  /// Binds the socket and spawns the I/O and executor threads. Throws
-  /// std::runtime_error if the socket cannot be bound or the telemetry
-  /// file cannot be opened.
+  /// Binds the socket and spawns the I/O and executor threads and the
+  /// pool's pool_threads − 1 workers. Throws std::runtime_error if the
+  /// socket cannot be bound or the telemetry file cannot be opened.
   void start();
 
   /// Blocks until a shutdown request (frame or request_stop) has been

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_option("socket", "AF_UNIX socket path to listen on (required)", "");
   cli.add_option("threads",
-                 "ensemble pool workers (0 = hardware concurrency)", "0");
+                 "ensemble tasks at once (0 = hardware concurrency)", "0");
   cli.add_option("queue", "max queued jobs before submissions are refused",
                  "64");
   cli.add_option("max-tasks", "per-job task-table ceiling", "65536");
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   try {
     service::SweepServer server(config);
     server.start();
-    std::printf("listening on %s (queue limit %zu, pool threads %u)\n",
+    std::printf("listening on %s (queue limit %zu, tasks at once %u)\n",
                 config.socket_path.c_str(), config.queue_limit,
                 config.pool_threads);
     std::fflush(stdout);

@@ -71,21 +71,18 @@ NeighborhoodGather ParticleSystem::gather_neighborhood(
   for (int i = 0; i < 8; ++i) {
     const ParticleIndex p = particle_at(ring.nodes[static_cast<std::size_t>(i)]);
     if (p == kNoParticle) continue;
-    g.occ = static_cast<std::uint16_t>(g.occ | (1u << i));
     g.color_nibbles ^= static_cast<std::uint64_t>(
                            colors_[static_cast<std::size_t>(p)] ^ 0xFu)
                        << (4 * i);
   }
   g.p_at_l = p_at_l;
   if (p_at_l != kNoParticle) {
-    g.occ = static_cast<std::uint16_t>(g.occ | (1u << NeighborhoodGather::kNodeL));
     g.color_nibbles ^= static_cast<std::uint64_t>(
                            colors_[static_cast<std::size_t>(p_at_l)] ^ 0xFu)
                        << (4 * NeighborhoodGather::kNodeL);
   }
   g.p_at_lp = particle_at(lattice::neighbor(l, dir));
   if (g.p_at_lp != kNoParticle) {
-    g.occ = static_cast<std::uint16_t>(g.occ | (1u << NeighborhoodGather::kNodeLp));
     g.color_nibbles ^= static_cast<std::uint64_t>(
                            colors_[static_cast<std::size_t>(g.p_at_lp)] ^ 0xFu)
                        << (4 * NeighborhoodGather::kNodeLp);

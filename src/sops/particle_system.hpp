@@ -37,18 +37,18 @@ inline constexpr ParticleIndex kNoParticle = -1;
 /// edge (l, l' = l + dir): the 8-node lattice::EdgeRing plus the two
 /// endpoints. This is the raw material of the step kernel
 /// (src/core/neighborhood.hpp): every quantity Algorithm 1 needs per
-/// step is a popcount or nibble match over these two words.
+/// step is a count or nibble match over `color_nibbles`.
 ///
-/// Node layout (bit i of `occ`, nibble i of `color_nibbles`):
+/// Node layout (nibble i of `color_nibbles`):
 ///   0..7  lattice::EdgeRing::around(l, dir).nodes[0..7]
 ///         (ring indices 0 and 4 are the common neighbors of l and l')
 ///   8     l
 ///   9     l'
 /// `color_nibbles` holds the color of node i in bits [4i, 4i+4), with
 /// 0xF (an impossible color; kMaxColors = 8) where the node is empty,
-/// so a nibble match against any real color also filters occupancy.
+/// so a nibble match against any real color also filters occupancy, and
+/// nibble bit 3 is clear exactly on occupied nodes.
 struct NeighborhoodGather {
-  std::uint16_t occ = 0;
   std::uint64_t color_nibbles = 0xFFFFFFFFFFULL;
   ParticleIndex p_at_l = kNoParticle;
   ParticleIndex p_at_lp = kNoParticle;
@@ -155,7 +155,9 @@ class ParticleSystem {
   /// h(σ) but not the occupancy index, which they mark stale. Until
   /// sync_index() runs, nothing may read the index: occupied,
   /// particle_at, the neighbor counts, gather_neighborhood,
-  /// recount_edges and the other mutators.
+  /// recount_edges and the other mutators. swap_unindexed requires the
+  /// two particles to differ in color (a like-colored swap changes no
+  /// configuration, and its caller skips it).
   void move_unindexed(ParticleIndex i, lattice::Node to,
                       std::int64_t edge_delta,
                       std::int64_t hetero_delta) noexcept {
@@ -166,11 +168,9 @@ class ParticleSystem {
   }
   void swap_unindexed(ParticleIndex i, ParticleIndex j,
                       std::int64_t hetero_delta) noexcept {
-    const auto a = static_cast<std::size_t>(i);
-    const auto b = static_cast<std::size_t>(j);
-    if (colors_[a] == colors_[b]) return;  // configuration unchanged
     index_stale_ = true;
-    std::swap(positions_[a], positions_[b]);
+    std::swap(positions_[static_cast<std::size_t>(i)],
+              positions_[static_cast<std::size_t>(j)]);
     hetero_edges_ += hetero_delta;
   }
 

@@ -98,9 +98,11 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
                      std::to_string(mask) + " pattern " +
                      std::to_string(pattern) + " view " + nb.debug_string());
 
-        // Occupancy mask and per-node colors.
-        ASSERT_EQ(nb.occ, mask);
+        // Per-node occupancy, against the system's own index, and colors.
         for (int i = 0; i < 10; ++i) {
+          ASSERT_EQ(nb.node_occupied(i),
+                    sys.occupied(all_nodes[static_cast<std::size_t>(i)]))
+              << "node " << i;
           if ((mask >> i) & 1u) {
             const auto p = sys.particle_at(all_nodes[static_cast<std::size_t>(i)]);
             ASSERT_NE(p, system::kNoParticle);
@@ -113,9 +115,9 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
         EXPECT_EQ(nb.p_at_lp, sys.particle_at(lp));
 
         // The nibble words the counts fold, and the fold itself.
-        EXPECT_EQ(nb.occupied_nibbles(), expand_nodes(nb.occ));
-        EXPECT_EQ(count_nibble_bits(nb.occupied_nibbles()),
-                  std::popcount(static_cast<unsigned>(nb.occ)));
+        EXPECT_EQ(nb.occupied_nibbles(),
+                  expand_nodes(static_cast<std::uint16_t>(mask)));
+        EXPECT_EQ(count_nibble_bits(nb.occupied_nibbles()), std::popcount(mask));
         for (Color c = 0; c < 5; ++c) {
           EXPECT_EQ(count_nibble_bits(nb.color_matches(c)),
                     std::popcount(nb.color_matches(c)))
@@ -139,10 +141,14 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
               << int(c);
         }
 
-        // Locality: LUT vs run analysis on the actual ring read, and
-        // the nibble-derived ring mask against the gathered `occ`.
-        ASSERT_EQ(nb.ring_mask(), nb.occ & kRingNodes);
+        // Locality: the nibble-derived ring mask against the reference
+        // ring read, and LUT vs run analysis on that read.
         const RingOccupancy ro = RingOccupancy::read(sys, l, dir);
+        unsigned ref_ring = 0;
+        for (int i = 0; i < 8; ++i) {
+          if (ro.occupied[static_cast<std::size_t>(i)]) ref_ring |= 1u << i;
+        }
+        ASSERT_EQ(nb.ring_mask(), ref_ring);
         EXPECT_EQ(property4_lut(nb.ring_mask()), property4(ro));
         EXPECT_EQ(property5_lut(nb.ring_mask()), property5(ro));
         EXPECT_EQ(nb.move_locality_ok(),

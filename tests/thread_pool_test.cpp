@@ -116,5 +116,62 @@ TEST(ThreadPool, ConcurrentCallersTakeTurns) {
             static_cast<int>(2 * kTasks));
 }
 
+// A pool of size 1 starts no worker: the caller runs every index,
+// in ascending order.
+TEST(ThreadPool, SizeOneRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> ran_on;
+  pool.parallel_for(50, [&](std::size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  std::vector<std::size_t> ascending(50);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(order, ascending);
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(50, caller));
+}
+
+// One index needs no worker, so the caller runs it itself.
+TEST(ThreadPool, OneIndexBatchRunsOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    std::thread::id ran_on;
+    pool.parallel_for(1, [&ran_on](std::size_t) {
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, caller) << "round " << round;
+  }
+}
+
+// ThreadPool(N) runs N tasks at once: N indices that each wait until
+// all N have started finish only if the caller and every one of the
+// N − 1 workers run one. A caller that woke too few workers trips the
+// deadline. The pause lets the new workers fall asleep first, so none
+// can claim an index on its way in without being woken.
+TEST(ThreadPool, RunsSizeTasksAtOnce) {
+  for (unsigned n = 2; n <= 4; ++n) {
+    ThreadPool pool(n);
+    ASSERT_EQ(pool.size(), n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::atomic<unsigned> started{0};
+    std::atomic<unsigned> saw_all{0};
+    pool.parallel_for(n, [&](std::size_t) {
+      ++started;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (started.load() < n &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (started.load() == n) ++saw_all;
+    });
+    EXPECT_EQ(saw_all.load(), n) << "pool of " << n;
+  }
+}
+
 }  // namespace
 }  // namespace sops::engine
