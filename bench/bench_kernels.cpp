@@ -38,43 +38,25 @@ core::SeparationChain make_chain(
                                seed);
 }
 
-// Old-vs-new step kernels. Both twins burn in 50k steps first so the
-// timing loop measures the steady-state regime rather than the drift
-// toward it (the configuration keeps evolving *during* measurement, and
-// without burn-in the early, uncompressed part of the trajectory — with
-// its different move/swap mix — would dominate the comparison). The
-// probes_per_step counter is the per-iteration delta of occupancy-table
-// lookups: the single-gather kernel should sit near 10, the reference
-// path near 30-40.
+// SeparationChain::step(), the reference: per-call recounts on the
+// FlatMap, the path run() takes only for ticks its arena cannot serve.
+// The chain burns in 50k steps first so the timing loop measures the
+// steady-state regime rather than the drift toward it (the
+// configuration keeps evolving *during* measurement, and without
+// burn-in the early, uncompressed part of the trajectory — with its
+// different move/swap mix — would dominate).
 constexpr std::uint64_t kStepBurnIn = 50'000;
 
-template <bool kReference>
-void chain_step_impl(benchmark::State& state) {
+void BM_ChainStep(benchmark::State& state) {
   core::SeparationChain chain =
       make_chain(static_cast<std::size_t>(state.range(0)), 42);
   chain.run(kStepBurnIn);
-  const std::uint64_t probes_before = chain.system().occupancy_lookups();
   for (auto _ : state) {
-    if constexpr (kReference) {
-      benchmark::DoNotOptimize(chain.step_reference());
-    } else {
-      benchmark::DoNotOptimize(chain.step());
-    }
+    benchmark::DoNotOptimize(chain.step());
   }
-  const auto iters = static_cast<std::int64_t>(state.iterations());
-  state.SetItemsProcessed(iters);
-  state.counters["probes_per_step"] = benchmark::Counter(
-      static_cast<double>(chain.system().occupancy_lookups() - probes_before) /
-      static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_ChainStep(benchmark::State& state) { chain_step_impl<false>(state); }
 BENCHMARK(BM_ChainStep)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_ChainStep_Reference(benchmark::State& state) {
-  chain_step_impl<true>(state);
-}
-BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 
 // SeparationChain::run (src/core/markov_chain.hpp), the walk every
 // trajectory runs on: each timing iteration advances the chain by one
@@ -142,20 +124,6 @@ void BM_PropertyCheck_Reference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PropertyCheck_Reference);
-
-void BM_NeighborhoodGather(benchmark::State& state) {
-  core::SeparationChain chain = make_chain(100, 8);
-  chain.run(100000);
-  const auto& sys = chain.system();
-  util::Rng rng(2);
-  for (auto _ : state) {
-    const auto i =
-        static_cast<system::ParticleIndex>(rng.below(sys.size()));
-    const int dir = static_cast<int>(rng.below(6));
-    benchmark::DoNotOptimize(sys.gather_neighborhood(sys.position(i), dir, i));
-  }
-}
-BENCHMARK(BM_NeighborhoodGather);
 
 void BM_NeighborCount(benchmark::State& state) {
   core::SeparationChain chain = make_chain(100, 9);

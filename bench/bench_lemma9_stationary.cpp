@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const std::size_t target = opt.full ? 20000000 : 3000000;
     for (std::size_t next = 30000; next <= target; next *= 10) {
       while (taken < next) {
-        chain.step();
+        chain.run(1);
         ++visits[exact::state_of(chain.system()).key()];
         ++taken;
       }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Records one point of the kernel-performance trajectory: runs the
-# old-vs-new step/locality/count microbenches of bench_kernels and the
-# start-blob build (BM_RandomBlob/24 and /200) with
-# --benchmark_format=json and distills machine note + items/sec (+ the
-# probes_per_step counter, and the flatmap_steps counter of the
+# step/locality/count microbenches of bench_kernels (step() is the
+# reference, run() the arena walk) and the start-blob build
+# (BM_RandomBlob/24 and /200) with --benchmark_format=json and distills
+# machine note + items/sec (+ the flatmap_steps counter of the
 # SeparationChain::run rows, nonzero only when the arena was refused)
 # into a stable, diff-friendly JSON file. When
 # taskset exists, the benchmark runs pinned to CPU 0 (record and
@@ -51,7 +51,7 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_ChainRun/400|BM_ChainRunGamma1/100|BM_PropertyCheck_Reference$|BM_NeighborhoodGather$|BM_NeighborCount$|BM_RandomBlob/(24|200)$'
+filter='BM_ChainStep/(400|1600)|BM_ChainRun/400|BM_ChainRunGamma1/100|BM_PropertyCheck_Reference$|BM_NeighborCount$|BM_RandomBlob/(24|200)$'
 pin=()
 if command -v taskset >/dev/null 2>&1; then pin=(taskset -c 0); fi
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
@@ -84,7 +84,6 @@ distill() {
           name: .run_name,
           items_per_second: (.items_per_second // null),
           ns_per_op: .cpu_time,
-          probes_per_step: (.probes_per_step // null),
           flatmap_steps: (.flatmap_steps // null)
         }))
   }' "$1"

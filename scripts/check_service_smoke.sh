@@ -1,25 +1,36 @@
 #!/usr/bin/env bash
-# Service-layer smoke check: start the sweep server, submit a real
-# harness job over the socket, and require the served report to be
-# byte-identical to the batch harness at --threads 1. Also exercises
+# Service-layer smoke check: start the sweep server, submit each served
+# harness's job over the socket, and require every served report to be
+# byte-identical to its batch harness at --threads 1. Also exercises
 # the job-lifecycle surface (ping, cancel, bounded-queue overload
 # refusal, job-tagged telemetry, clean shutdown with a stats line), a
 # short load-generator run (which itself fails on any protocol error),
 # and the exit-code contract shared with the rest of the tools: usage
-# errors exit 2, data/protocol errors exit 1.
+# errors exit 2 (--submit on a harness the server cannot run among
+# them), data/protocol errors exit 1.
 #
-# Usage: scripts/check_service_smoke.sh [build-dir] [harness]
+# Usage: scripts/check_service_smoke.sh [build-dir] [harness...]
 #   build-dir  CMake build tree holding bench/ binaries (default: build)
-#   harness    shardable harness to submit (default: bench_fig3_phase_diagram)
+#   harness    served harnesses to submit and byte-compare (default: all
+#              three the server runs: bench_fig3_phase_diagram,
+#              bench_thm13_compression, bench_alignment_phase_diagram);
+#              the first also drives the exit-code checks
 set -euo pipefail
 
 build_dir=${1:-build}
-harness=${2:-bench_fig3_phase_diagram}
+shift || true
+harnesses=("$@")
+if (( ${#harnesses[@]} == 0 )); then
+  harnesses=(bench_fig3_phase_diagram bench_thm13_compression
+             bench_alignment_phase_diagram)
+fi
 
-bin="$build_dir/bench/$harness"
+bin="$build_dir/bench/${harnesses[0]}"
+unserved_bin="$build_dir/bench/bench_thm14_separation"
 server_bin="$build_dir/bench/sops_sweep_server"
 client_bin="$build_dir/bench/sops_load_client"
-for b in "$bin" "$server_bin" "$client_bin"; do
+for b in "${harnesses[@]/#/$build_dir/bench/}" "$unserved_bin" \
+    "$server_bin" "$client_bin"; do
   [[ -x $b ]] || { echo "error: $b not built" >&2; exit 1; }
 done
 
@@ -61,14 +72,16 @@ done
 "$client_bin" --socket "$sock" --mode ping | grep -q pong
 echo "ok: server up, ping answered"
 
-echo "== submitted report must be byte-identical to the batch harness"
-"$bin" --threads 1 >"$work/reference.txt"
-"$bin" --submit "$sock" >"$work/submitted.txt"
-if ! diff -u "$work/reference.txt" "$work/submitted.txt"; then
-  echo "FAIL: socket-submitted report differs from the batch run" >&2
-  exit 1
-fi
-echo "ok: socket-submitted report byte-identical to batch --threads 1"
+echo "== each submitted report must be byte-identical to its batch harness"
+for harness in "${harnesses[@]}"; do
+  "$build_dir/bench/$harness" --threads 1 >"$work/reference.txt"
+  "$build_dir/bench/$harness" --submit "$sock" >"$work/submitted.txt"
+  if ! diff -u "$work/reference.txt" "$work/submitted.txt"; then
+    echo "FAIL: socket-submitted $harness report differs from the batch run" >&2
+    exit 1
+  fi
+  echo "ok: socket-submitted $harness report byte-identical to batch --threads 1"
+done
 
 echo "== cancel: a long job reaches the cancelled terminal state"
 "$client_bin" --socket "$sock" --mode cancel
@@ -99,6 +112,12 @@ expect_rc 2 "$client_bin"                            # --socket required
 expect_rc 2 "$client_bin" --socket "$sock" --mode bogus
 expect_rc 2 "$bin" --submit "$sock" --shard 0/2 --shard-out "$work/x.shard"
 expect_rc 2 "$bin" --submit "$sock" --merge "$work/x.shard"
+expect_rc 2 "$unserved_bin" --submit "$sock"
+grep -q "it runs .*bench_fig3_phase_diagram" "$work/err.txt" || {
+  echo "FAIL: --submit on an unserved harness did not name the served jobs" >&2
+  cat "$work/err.txt" >&2
+  exit 1
+}
 echo "ok: usage errors exit 2"
 
 echo "== data/protocol errors must exit 1 and name the problem"
@@ -136,4 +155,4 @@ grep -q "^shutdown: " "$work/server.log" || {
 }
 echo "ok: server drained and printed lifetime stats"
 
-echo "PASS: service smoke ($harness over $sock)"
+echo "PASS: service smoke (${harnesses[*]} over $sock)"

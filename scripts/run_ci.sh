@@ -96,8 +96,9 @@ scripts/check_shard_roundtrip.sh "$build_dir" bench_thm13_compression 2
 echo "== shard round-trip smoke (bench_mixing_gap)"
 scripts/check_shard_roundtrip.sh "$build_dir" bench_mixing_gap 3
 
-echo "== service smoke (sweep server + load client)"
-scripts/check_service_smoke.sh "$build_dir" bench_fig3_phase_diagram
+echo "== service smoke (sweep server + load client, every served harness)"
+scripts/check_service_smoke.sh "$build_dir" bench_fig3_phase_diagram \
+  bench_thm13_compression bench_alignment_phase_diagram
 
 echo "== checkpoint kill -9 + elastic recovery (bench_thm13_compression)"
 scripts/check_checkpoint_kill9.sh "$build_dir" bench_thm13_compression

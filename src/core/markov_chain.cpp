@@ -13,7 +13,6 @@ namespace sops::core {
 using lattice::EdgeRing;
 using lattice::Node;
 using system::Color;
-using system::NeighborhoodGather;
 using system::ParticleIndex;
 using system::ParticleSystem;
 
@@ -25,9 +24,9 @@ namespace {
 //
 // 0 encodes an empty cell, so `cell != 0` is the occupancy bit and
 // `(cell & kCellIndexMask) - 1` is the particle index, kNoParticle on an
-// empty cell. The nibble is exactly the XOR mask NeighborhoodGather
-// applies to its all-0xF default nibbles (0 for an empty cell), so
-// gathered nibbles fold into a NeighborhoodView with XOR alone.
+// empty cell. The nibble is exactly the XOR mask a gatherer applies to
+// NeighborhoodView's all-0xF default nibbles (0 for an empty cell), so
+// gathered nibbles fold into a view with XOR alone.
 constexpr std::uint32_t kCellIndexMask = (1u << 24) - 1;
 constexpr int kNibbleShift = 28;
 
@@ -111,52 +110,6 @@ bool SeparationChain::step() {
 }
 
 bool SeparationChain::advance(ParticleIndex pi, int dir, double q) {
-  const Node l = sys_.position(pi);
-  const NeighborhoodView nb = NeighborhoodView::gather(sys_, l, dir, pi);
-
-  if (!nb.lp_occupied()) {
-    ++counters_.move_proposals;
-    const Color ci = sys_.color(pi);
-    const int e = nb.e();
-    if (e == 5) {
-      ++counters_.rejected_five;
-      return false;
-    }
-    if (!nb.move_locality_ok()) {
-      ++counters_.rejected_locality;
-      return false;
-    }
-    const int ei = nb.e_i(ci);
-    const int ep = nb.e_prime();
-    const int epi = nb.e_prime_i(ci);
-    if (q >= pow_lambda(ep - e) * pow_gamma(epi - ei)) {
-      ++counters_.rejected_metropolis;
-      return false;
-    }
-    // The gather already determines both bookkeeping deltas: the move
-    // gains e' − e edges and (e' − e'_i) − (e − e_i) heterogeneous ones.
-    sys_.apply_move(pi, lattice::neighbor(l, dir), ep - e,
-                    (ep - epi) - (e - ei));
-    ++counters_.moves_accepted;
-    return true;
-  }
-
-  if (!params_.swaps_enabled) return false;
-  ++counters_.swap_proposals;
-  const Color ci = sys_.color(pi);
-  const Color cj = sys_.color(nb.p_at_lp);
-  if (q >= pow_gamma(nb.swap_exponent())) return false;
-  sys_.apply_swap(pi, nb.p_at_lp);
-  ++counters_.swaps_accepted;
-  return ci != cj;
-}
-
-bool SeparationChain::step_reference() {
-  ++counters_.steps;
-  const auto pi = static_cast<ParticleIndex>(rng_.below(sys_.size()));
-  const int dir = static_cast<int>(rng_.below(6));
-  const double q = rng_.uniform_open();
-
   const Node l = sys_.position(pi);
   const Node lp = lattice::neighbor(l, dir);
   const ParticleIndex qi = sys_.particle_at(lp);
@@ -463,10 +416,6 @@ std::size_t SeparationChain::walk_arena(const Proposal* cur,
   counters_.swap_proposals += c.swap_proposals;
   counters_.swaps_accepted += c.swaps_accepted;
   return stop;
-}
-
-void SeparationChain::run_reference(std::uint64_t iterations) {
-  for (std::uint64_t i = 0; i < iterations; ++i) step_reference();
 }
 
 SeparationChain make_compression_chain(std::span<const Node> positions,

@@ -72,19 +72,14 @@ class SeparationChain {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
-  /// One iteration of M. Returns true iff the configuration changed.
-  /// Draws the proposal (particle, direction, Metropolis uniform), then
-  /// executes it on the single-gather step kernel: one 10-node read of
-  /// the proposal neighborhood, then popcounts/LUTs. Consumes exactly
-  /// the same RNG draws in the same order as step_reference(), and the
-  /// two paths make identical accept/reject decisions (asserted over
-  /// 10^6-step trajectories by tests).
+  /// One iteration of M, the reference every faster path is checked
+  /// against. Returns true iff the configuration changed. Draws the
+  /// proposal (particle, direction, Metropolis uniform), then executes
+  /// it with per-call recounts on the FlatMap: neighbor_count walks,
+  /// move_preserves_invariants_reference and the recounting
+  /// apply_move. run() makes the same draws and decisions (asserted
+  /// over long trajectories by tests).
   bool step();
-
-  /// One iteration via the per-call reference implementations
-  /// (neighbor_count walks + RingOccupancy read). Slow path kept for
-  /// cross-checking and old-vs-new benchmarks.
-  bool step_reference();
 
   /// Runs `iterations` steps, byte-identical to the same number of
   /// step() calls: same trajectory, counters, and final RNG state.
@@ -95,9 +90,6 @@ class SeparationChain {
   /// block. The chain keeps its arena across calls, so a trajectory
   /// split into many short run() calls builds it once.
   void run(std::uint64_t iterations);
-
-  /// Runs `iterations` reference-path steps.
-  void run_reference(std::uint64_t iterations);
 
   /// Checkpoint/resume support (src/checkpoint). A chain's resumable
   /// state beyond the configuration itself is exactly (RNG state,
@@ -136,8 +128,9 @@ class SeparationChain {
 
  private:
   /// step() after its three draws: executes one decoded proposal on the
-  /// FlatMap occupancy index, which must be current. Counts into
-  /// counters_ every field but steps, which the caller owns.
+  /// FlatMap occupancy index, which must be current, recounting every
+  /// quantity it reads. Counts into counters_ every field but steps,
+  /// which the caller owns.
   bool advance(system::ParticleIndex pi, int dir, double q);
 
   // ---- run(): walk a block over the arena, decode the next -----------

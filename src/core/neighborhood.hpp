@@ -1,15 +1,14 @@
-// Single-gather neighborhood kernel for Algorithm 1's hot path.
+// Neighborhood kernel for Algorithm 1's hot path.
 //
 // One step of the chain needs, for the proposal edge (l, l'), the
 // neighbor counts e, e_i, e', e'_i, the swap exponent of line 10, and
 // the locality Properties 4/5 — all of which are functions of the
-// closed 10-node neighborhood {l, l'} ∪ ring(l, l'). The reference
-// implementations (markov_chain.cpp, locality.cpp) recompute each
-// quantity with its own pass of hash probes, ~30–40 per step.
-// NeighborhoodView instead reads the ten nodes exactly once
-// (ParticleSystem::gather_neighborhood) into one register of 4-bit
-// per-node color nibbles (`color_nibbles`, 0xF where empty) and answers
-// every query from it:
+// closed 10-node neighborhood {l, l'} ∪ ring(l, l'). The reference,
+// SeparationChain::step(), recounts each quantity with its own pass of
+// FlatMap probes (markov_chain.cpp, locality.cpp). SeparationChain::run's
+// arena walk instead reads the ten nodes' arena cells once into one
+// register of 4-bit per-node color nibbles (`color_nibbles`, 0xF where
+// empty), and NeighborhoodView answers every query from it:
 //
 //  - every count is a nibble test that leaves bit 4i set per counted
 //    node (occupied for the e-style counts, a SWAR color match for the
@@ -22,24 +21,23 @@
 //    analysis is precomputed into 256-entry lookup tables at compile
 //    time.
 //
-// The node layout (nibble i) is defined by
-// system::NeighborhoodGather: ring indices 0..7 in lattice::EdgeRing
-// order (0 and 4 the common neighbors), 8 = l, 9 = l'.
+// The node layout (nibble i) is defined by NeighborhoodView: ring
+// indices 0..7 in lattice::EdgeRing order (0 and 4 the common
+// neighbors), 8 = l, 9 = l'.
 //
-// Equivalence with the reference path is enforced two ways: an
-// exhaustive cross-check over all ring masks and synthetic
-// neighborhoods, and a trajectory test asserting identical counters and
-// final positions over 10^6 steps (tests/neighborhood_test.cpp).
+// Equivalence with the reference is enforced two ways: an exhaustive
+// cross-check over all ring masks and synthetic neighborhoods
+// (tests/neighborhood_test.cpp), and run()-against-step() trajectory
+// tests (there and in tests/chain_run_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/sops/particle_system.hpp"
 
 namespace sops::core {
 
-// Node-subset masks over the NeighborhoodGather bit layout. "Nbr"
+// Node-subset masks over the NeighborhoodView node layout. "Nbr"
 // subsets enumerate the six lattice neighbors of an endpoint; the
 // "No..." variants exclude the other endpoint, matching the
 // neighbor_count(…, exclude) calls of the reference path.
@@ -173,36 +171,32 @@ inline constexpr RingLut kMoveOkLut = make_ring_lut(
 
 /// One gathered neighborhood plus every per-step query Algorithm 1 asks
 /// of it. All queries are branch-light bit arithmetic on the nibbles.
-struct NeighborhoodView : system::NeighborhoodGather {
-  [[nodiscard]] static NeighborhoodView gather(
-      const system::ParticleSystem& sys, lattice::Node l, int dir) noexcept {
-    return NeighborhoodView{sys.gather_neighborhood(l, dir)};
-  }
+///
+/// Node layout (nibble i of `color_nibbles`):
+///   0..7  lattice::EdgeRing::around(l, dir).nodes[0..7]
+///         (ring indices 0 and 4 are the common neighbors of l and l')
+///   8     l
+///   9     l'
+/// `color_nibbles` holds the color of node i in bits [4i, 4i+4), with
+/// 0xF (an impossible color; kMaxColors = 8) where the node is empty,
+/// so a nibble match against any real color also filters occupancy, and
+/// nibble bit 3 is clear exactly on occupied nodes. A gatherer XORs
+/// color ^ 0xF into each occupied node's nibble.
+struct NeighborhoodView {
+  std::uint64_t color_nibbles = 0xFFFFFFFFFFULL;
 
-  /// Gather when the caller already holds the particle index at l (the
-  /// chain always does) — saves one probe.
-  [[nodiscard]] static NeighborhoodView gather(
-      const system::ParticleSystem& sys, lattice::Node l, int dir,
-      system::ParticleIndex p_at_l) noexcept {
-    return NeighborhoodView{sys.gather_neighborhood(l, dir, p_at_l)};
-  }
+  static constexpr int kNodeL = 8;
+  static constexpr int kNodeLp = 9;
 
   [[nodiscard]] bool node_occupied(int i) const noexcept {
     return (occupied_nibbles() >> (4 * i)) & 1u;
   }
-  [[nodiscard]] bool l_occupied() const noexcept {
-    return node_occupied(kNodeL);
-  }
-  [[nodiscard]] bool lp_occupied() const noexcept {
-    return node_occupied(kNodeLp);
-  }
   [[nodiscard]] system::Color color_at(int i) const noexcept {
     return static_cast<system::Color>((color_nibbles >> (4 * i)) & 0xFu);
   }
-  /// Bit i set iff ring node i is occupied, read from the nibbles (so
-  /// a caller that fills only the nibbles, SeparationChain::run's arena
-  /// walk, gets it too). Equals the ring occupancy RingOccupancy::read
-  /// finds on every gather (tests/neighborhood_test.cpp).
+  /// Bit i set iff ring node i is occupied, read from the nibbles.
+  /// Equals the ring occupancy RingOccupancy::read finds on every
+  /// neighborhood (tests/neighborhood_test.cpp).
   [[nodiscard]] std::uint8_t ring_mask() const noexcept {
     return pack_ring_nibbles(occupied_nibbles());
   }
@@ -271,9 +265,6 @@ struct NeighborhoodView : system::NeighborhoodGather {
   [[nodiscard]] bool move_locality_ok() const noexcept {
     return detail::kMoveOkLut.test(ring_mask());
   }
-
-  /// "occ=0b…, colors=…" rendering for test-failure messages.
-  [[nodiscard]] std::string debug_string() const;
 };
 
 }  // namespace sops::core

@@ -1,5 +1,6 @@
 #include "src/harness/harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "src/checkpoint/runner.hpp"
 #include "src/model/builtin.hpp"
 #include "src/service/client.hpp"
+#include "src/service/jobs.hpp"
 
 namespace sops::harness {
 
@@ -44,8 +46,12 @@ int run(const Spec& spec, int argc, char** argv) {
                            "' must set exactly one of sweep/single");
   }
   const bool with_shard = static_cast<bool>(spec.sweep) && spec.shardable;
-  const Options opt =
-      parse_options(argc, argv, with_shard, spec.passthrough_prefix);
+  const std::vector<std::string> served = service::registered_jobs();
+  const bool with_submit =
+      with_shard && std::find(served.begin(), served.end(), spec.name) !=
+                        served.end();
+  const Options opt = parse_options(argc, argv, with_shard, with_submit,
+                                    spec.passthrough_prefix);
 
   banner(spec.experiment, spec.paper_artifact, spec.claim);
   if (spec.single) return spec.single(opt);

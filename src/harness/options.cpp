@@ -6,8 +6,11 @@
 #include <filesystem>
 #include <iostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
 
+#include "src/service/jobs.hpp"
 #include "src/util/cli.hpp"
 
 namespace sops::harness {
@@ -29,10 +32,27 @@ void require_writable(const std::string& path, const char* what,
   std::fclose(probe);
 }
 
+/// A harness the sweep server cannot run offers no --submit; asking for
+/// it anyway is a usage error naming the jobs the server runs, before
+/// any connection.
+void refuse_unserved_submit(int argc, char** argv, const util::Cli& cli) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg != "--submit" && !arg.starts_with("--submit=")) continue;
+    std::cerr << "cli: --submit: the sweep server does not run this "
+                 "harness; it runs";
+    for (const std::string& name : service::registered_jobs()) {
+      std::cerr << ' ' << name;
+    }
+    std::cerr << "\n" << cli.help_text(argv[0]);
+    std::exit(kUsageError);
+  }
+}
+
 }  // namespace
 
 Options parse_options(int argc, char** argv, bool with_shard,
-                      const char* passthrough_prefix) {
+                      bool with_submit, const char* passthrough_prefix) {
   util::Cli cli;
   cli.add_flag("full", "run at paper scale");
   cli.add_option("seed", "base random seed", "1");
@@ -51,10 +71,12 @@ Options parse_options(int argc, char** argv, bool with_shard,
                    "merge every *.shard / *.sopsshard file in this directory "
                    "and report",
                    "");
-    cli.add_option("submit",
-                   "submit the sweep to the sweep server at this AF_UNIX "
-                   "socket and report its results",
-                   "");
+    if (with_submit) {
+      cli.add_option("submit",
+                     "submit the sweep to the sweep server at this AF_UNIX "
+                     "socket and report its results",
+                     "");
+    }
     cli.add_option("checkpoint-dir",
                    "write per-task resume snapshots to this directory", "");
     cli.add_option("checkpoint-every",
@@ -69,6 +91,7 @@ Options parse_options(int argc, char** argv, bool with_shard,
   if (passthrough_prefix != nullptr) {
     cli.set_passthrough_prefix(passthrough_prefix);
   }
+  if (with_shard && !with_submit) refuse_unserved_submit(argc, argv, cli);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -140,7 +163,7 @@ Options parse_options(int argc, char** argv, bool with_shard,
             "cli: --merge/--merge-dir cannot be combined with --shard/"
             "--task-range/--shard-out");
       }
-      opt.submit = cli.str("submit");
+      if (with_submit) opt.submit = cli.str("submit");
       if (!opt.submit.empty() &&
           (opt.shard_set || opt.range_set || !opt.shard_out.empty() ||
            !opt.merge_inputs.empty() || !opt.merge_dir.empty())) {

@@ -17,7 +17,9 @@
 //   --merge-dir DIR  as --merge, globbing DIR/*.shard and *.sopsshard
 //   --submit SOCKET  run the sweep on the sweep server listening at
 //                    this AF_UNIX socket instead of in-process, then
-//                    report locally (byte-identical; see src/service)
+//                    report locally (byte-identical; see src/service);
+//                    offered only where the server runs the job
+//                    (parse_options(..., with_submit = true))
 //   --checkpoint-dir DIR    write per-task snapshots to DIR
 //   --checkpoint-every N    also snapshot chain-backed tasks mid-run
 //                           every N steps (0 = at completion only); a
@@ -81,9 +83,12 @@ struct Options {
 
 /// Parses the common flags; exits(0) on --help, exits(kUsageError) on
 /// bad arguments or unwritable --telemetry/--shard-out paths. Pass
-/// with_shard to expose the sharding surface; a non-null
+/// with_shard to expose the sharding surface, and with_submit as well
+/// to offer --submit; a sharding harness without it refuses --submit
+/// with kUsageError, naming the jobs the sweep server runs. A non-null
 /// passthrough_prefix collects matching raw arguments verbatim.
 [[nodiscard]] Options parse_options(int argc, char** argv, bool with_shard,
+                                    bool with_submit,
                                     const char* passthrough_prefix = nullptr);
 
 }  // namespace sops::harness

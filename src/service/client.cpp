@@ -60,7 +60,7 @@ Client::Submitted Client::submit(const shard::JobSpec& job) {
   } catch (const Refused& e) {
     out.accepted = false;
     out.reason = e.reason();
-    out.detail = e.what();
+    out.detail = e.detail();
   }
   return out;
 }

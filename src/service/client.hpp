@@ -16,16 +16,20 @@
 namespace sops::service {
 
 /// The server answered `refused`. `reason()` is the wire token
-/// ("queue-full", "unknown-job", …); what() carries the detail payload.
+/// ("queue-full", "unknown-job", …) and `detail()` the frame's payload;
+/// what() reads "service: refused (<reason>): <detail>".
 class Refused : public std::runtime_error {
  public:
-  Refused(std::string reason, const std::string& detail)
+  Refused(std::string reason, std::string detail)
       : std::runtime_error("service: refused (" + reason + "): " + detail),
-        reason_(std::move(reason)) {}
+        reason_(std::move(reason)),
+        detail_(std::move(detail)) {}
   [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
+  [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
 
  private:
   std::string reason_;
+  std::string detail_;
 };
 
 class Client {
@@ -35,8 +39,9 @@ class Client {
   explicit Client(const std::string& socket_path);
 
   /// Outcome of one submission. On acceptance `job_id` is set; on
-  /// refusal `reason`/`detail` are (a refused submission is an expected
-  /// backpressure outcome for the load generator, not an exception).
+  /// refusal `reason` holds the wire token and `detail` the refused
+  /// frame's payload (a refused submission is an expected backpressure
+  /// outcome for the load generator, not an exception).
   struct Submitted {
     bool accepted = false;
     std::string job_id;

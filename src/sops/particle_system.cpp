@@ -59,37 +59,6 @@ int ParticleSystem::neighbor_count_color(Node v, Color c,
   return count;
 }
 
-NeighborhoodGather ParticleSystem::gather_neighborhood(Node l,
-                                                       int dir) const noexcept {
-  return gather_neighborhood(l, dir, particle_at(l));
-}
-
-NeighborhoodGather ParticleSystem::gather_neighborhood(
-    Node l, int dir, ParticleIndex p_at_l) const noexcept {
-  const lattice::EdgeRing ring = lattice::EdgeRing::around(l, dir);
-  NeighborhoodGather g;
-  for (int i = 0; i < 8; ++i) {
-    const ParticleIndex p = particle_at(ring.nodes[static_cast<std::size_t>(i)]);
-    if (p == kNoParticle) continue;
-    g.color_nibbles ^= static_cast<std::uint64_t>(
-                           colors_[static_cast<std::size_t>(p)] ^ 0xFu)
-                       << (4 * i);
-  }
-  g.p_at_l = p_at_l;
-  if (p_at_l != kNoParticle) {
-    g.color_nibbles ^= static_cast<std::uint64_t>(
-                           colors_[static_cast<std::size_t>(p_at_l)] ^ 0xFu)
-                       << (4 * NeighborhoodGather::kNodeL);
-  }
-  g.p_at_lp = particle_at(lattice::neighbor(l, dir));
-  if (g.p_at_lp != kNoParticle) {
-    g.color_nibbles ^= static_cast<std::uint64_t>(
-                           colors_[static_cast<std::size_t>(g.p_at_lp)] ^ 0xFu)
-                       << (4 * NeighborhoodGather::kNodeLp);
-  }
-  return g;
-}
-
 std::int64_t ParticleSystem::count_incident_edges(
     Node v, Color c, std::int64_t* hetero) const noexcept {
   std::int64_t total = 0;
@@ -126,23 +95,6 @@ void ParticleSystem::apply_move(ParticleIndex i, Node to) {
 
   edges_ += deg_new - deg_old;
   hetero_edges_ += het_new - het_old;
-}
-
-void ParticleSystem::apply_move(ParticleIndex i, Node to,
-                                std::int64_t edge_delta,
-                                std::int64_t hetero_delta) {
-  const Node from = position(i);
-  if (!lattice::adjacent(from, to)) {
-    throw std::invalid_argument("apply_move: target not adjacent");
-  }
-  if (occupied(to)) {
-    throw std::invalid_argument("apply_move: target occupied");
-  }
-  occupancy_.erase(lattice::pack(from));
-  positions_[static_cast<std::size_t>(i)] = to;
-  occupancy_.insert(lattice::pack(to), i);
-  edges_ += edge_delta;
-  hetero_edges_ += hetero_delta;
 }
 
 void ParticleSystem::sync_index() noexcept {

@@ -41,11 +41,6 @@ class FlatMap {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
-  /// Number of find/contains calls issued so far. The chain benchmarks
-  /// report this as probes-per-step; the counter is cheap enough (one
-  /// non-atomic increment) to keep unconditionally.
-  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
-
   /// Grows capacity (never shrinks) so that `count` entries fit without
   /// any further rehash: count <= 7/8 * capacity after the call. A table
   /// reserved for its peak size keeps every slot pointer stable for the
@@ -80,7 +75,6 @@ class FlatMap {
 
   /// Pointer to the value for `key`, or nullptr if absent.
   [[nodiscard]] const Value* find(std::uint64_t key) const noexcept {
-    ++lookups_;
     std::size_t i = probe_start(key);
     while (slots_[i].occupied) {
       if (slots_[i].key == key) return &slots_[i].value;
@@ -162,7 +156,6 @@ class FlatMap {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  mutable std::uint64_t lookups_ = 0;
 };
 
 /// Flat hash set of uint64 keys, built on FlatMap with an empty payload.

@@ -58,7 +58,7 @@ TEST(ExactObservables, MatchesSimulatorTimeAverages) {
   chain.run(50000);
   util::Accumulator p_acc, h_acc;
   for (int s = 0; s < 1500000; ++s) {
-    chain.step();
+    chain.run(1);
     if (s % 10 == 0) {
       const auto m = core::measure(chain);
       p_acc.add(static_cast<double>(m.perimeter));

@@ -166,7 +166,7 @@ TEST(EmpiricalConvergence, SimulatorMatchesExactDistribution) {
   constexpr std::size_t kSamples = 3000000;
   chain.run(kBurnIn);
   for (std::size_t i = 0; i < kSamples; ++i) {
-    chain.step();
+    chain.run(1);
     ++visits[state_of(chain.system()).key()];
   }
   const double tv = util::total_variation(util::normalize(visits), exact_pi);

@@ -330,6 +330,14 @@ TEST(HarnessDeathTest, CheckpointDirWithMergeDirExitsUsageError) {
       ::testing::ExitedWithCode(kUsageError), "cannot be combined");
 }
 
+TEST(HarnessDeathTest, SubmitWhereTheServerCannotRunTheJobExitsUsageError) {
+  // The sweep server has no recipe for the tiny spec's job, so the
+  // harness refuses --submit before connecting and names what it runs.
+  EXPECT_EXIT((void)run_tiny_raw({"--submit", "absent.sock"}),
+              ::testing::ExitedWithCode(kUsageError),
+              "does not run this harness; it runs .*bench_fig3_phase_diagram");
+}
+
 TEST(HarnessDeathTest, HelpDocumentsTheExitCodeContract) {
   // --help prints to stdout and exits 0; EXPECT_EXIT matches stderr, so
   // alias stdout onto stderr in the child before running.

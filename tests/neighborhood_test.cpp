@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/coloring.hpp"
@@ -85,18 +86,24 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
       const unsigned mask =
           (free_mask & 0xFFu) | (1u << 8) | ((free_mask & 0x100u) << 1);
       for (int pattern = 0; pattern < kNumColorPatterns; ++pattern) {
+        // The view gathered as the arena walk does: each occupied
+        // node's color ^ 0xF folded into the all-0xF default nibbles.
         std::vector<Node> nodes;
         std::vector<Color> colors;
+        NeighborhoodView nb;
         for (int i = 0; i < 10; ++i) {
           if (!((mask >> i) & 1u)) continue;
+          const Color c = pattern_color(pattern, mask, i);
           nodes.push_back(all_nodes[static_cast<std::size_t>(i)]);
-          colors.push_back(pattern_color(pattern, mask, i));
+          colors.push_back(c);
+          nb.color_nibbles ^= static_cast<std::uint64_t>(c ^ 0xFu) << (4 * i);
         }
         const ParticleSystem sys(nodes, colors);
-        const NeighborhoodView nb = NeighborhoodView::gather(sys, l, dir);
-        SCOPED_TRACE("dir " + std::to_string(dir) + " mask " +
-                     std::to_string(mask) + " pattern " +
-                     std::to_string(pattern) + " view " + nb.debug_string());
+        // Nibble i of the view is node i's color, F where empty.
+        SCOPED_TRACE(testing::Message()
+                     << "dir " << dir << " mask " << mask << " pattern "
+                     << pattern << " nibbles 0x" << std::hex
+                     << nb.color_nibbles);
 
         // Per-node occupancy, against the system's own index, and colors.
         for (int i = 0; i < 10; ++i) {
@@ -111,8 +118,6 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
             EXPECT_EQ(nb.color_at(i), 0xF) << "node " << i;
           }
         }
-        EXPECT_EQ(nb.p_at_l, sys.particle_at(l));
-        EXPECT_EQ(nb.p_at_lp, sys.particle_at(lp));
 
         // The nibble words the counts fold, and the fold itself.
         EXPECT_EQ(nb.occupied_nibbles(),
@@ -155,7 +160,7 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
                   move_preserves_invariants_reference(sys, l, dir));
 
         // The swap exponent against the reference recount.
-        if (nb.lp_occupied()) {
+        if (nb.node_occupied(NeighborhoodView::kNodeLp)) {
           const Color ci = nb.color_at(NeighborhoodView::kNodeL);
           const Color cj = nb.color_at(NeighborhoodView::kNodeLp);
           const int ref_exp = (sys.neighbor_count_color(lp, ci, l) -
@@ -215,9 +220,9 @@ TEST(NeighborhoodViewTest, WeightFunctionsValidatePreconditions) {
 }
 
 // ---------------------------------------------------------------------
-// Trajectory equivalence: the kernel path and the reference path, fed
-// identical seeds, must make identical decisions for 10^6 steps — same
-// counters, same final configuration, same incremental edge counts.
+// Trajectory equivalence: run()'s arena walk and the reference step(),
+// fed identical seeds, must make identical decisions for 10^6 steps —
+// same counters, same final configuration, same incremental edge counts.
 
 struct TrajectorySetting {
   double lambda;
@@ -248,7 +253,7 @@ TEST(NeighborhoodViewTest, TrajectoryIdenticalToReferencePath) {
 
     const std::size_t cap_before = fast.system().occupancy_capacity();
     fast.run(1'000'000);
-    ref.run_reference(1'000'000);
+    for (int i = 0; i < 1'000'000; ++i) ref.step();
 
     const auto& cf = fast.counters();
     const auto& cr = ref.counters();

@@ -452,6 +452,38 @@ TEST(ServiceServerTest, StatusResultAndCancelRefusalPaths) {
   server.wait();
 }
 
+// run_job rethrows a refused submission as it came off the wire: the
+// message carries the "service: refused (<reason>): " prefix once,
+// followed by the server's own payload.
+TEST(ServiceServerTest, RunJobRefusalCarriesThePrefixOnce) {
+  const std::string socket_path = test_socket("refused_once");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  service::SweepServer server(config);
+  server.start();
+
+  shard::JobSpec unknown = small_job(1, 12, 100);
+  unknown.name = "bench_nonexistent";
+  try {
+    (void)service::run_job(socket_path, unknown, /*poll_interval_ms=*/2);
+    ADD_FAILURE() << "run_job of an unregistered job name succeeded";
+  } catch (const service::Refused& e) {
+    const std::string what = e.what();
+    const std::string prefix =
+        std::string("service: refused (") + service::kRefusedUnknownJob + "): ";
+    EXPECT_EQ(e.reason(), service::kRefusedUnknownJob);
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    EXPECT_EQ(what.find("refused", prefix.size()), std::string::npos) << what;
+    EXPECT_NE(what.find("'bench_nonexistent' not registered"),
+              std::string::npos)
+        << what;
+  }
+
+  service::Client(socket_path).shutdown_server();
+  server.wait();
+}
+
 TEST(ServiceServerTest, BoundedQueueRefusesOverload) {
   const std::string socket_path = test_socket("overload");
   service::ServerConfig config;

@@ -137,16 +137,6 @@ TEST(FlatMap, CapacityStableAcrossTrajectoryChurn) {
   EXPECT_EQ(m.capacity(), cap);
 }
 
-TEST(FlatMap, LookupCounterCountsFindsAndContains) {
-  FlatMap<int> m;
-  m.insert(1, 10);
-  const std::uint64_t before = m.lookups();
-  (void)m.find(1);
-  (void)m.find(2);
-  (void)m.contains(1);
-  EXPECT_EQ(m.lookups(), before + 3);
-}
-
 TEST(FlatSet, BasicOperations) {
   FlatSet s;
   EXPECT_TRUE(s.insert(10));
