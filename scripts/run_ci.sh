@@ -15,12 +15,11 @@
 # must match the plain report while four tasks share one snapshot
 # writer. A symbol guard fails CI when the step kernel's
 # libraries call libgcc's software popcount. An ASan+UBSan tier rebuilds
-# the codec-facing test binaries (shard, checkpoint, service, model and
-# the util::record pinned-bytes and mutation-fuzz tests) and the step
-# kernel's (core) in <build-dir>-asan and runs them with
-# UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
-# behaviour on a refusal path or in SeparationChain::run's arena walk
-# fails CI, not only a wrong exception or trajectory. A
+# every target in <build-dir>-asan and runs the whole test suite there
+# with UBSAN_OPTIONS=halt_on_error=1, so a memory error or any undefined
+# behaviour anywhere a test reaches (a refusal path, SeparationChain::run's
+# arena walk, the FlatMap, the start-blob grid) fails CI, not only a
+# wrong exception or trajectory. A
 # ThreadSanitizer tier rebuilds the test binaries that start threads
 # (thread pool, engine, shard, checkpoint, harness, service) in
 # <build-dir>-tsan and runs their label tiers, so a data race fails CI.
@@ -122,16 +121,12 @@ cmp "$shared/plain.txt" "$shared/resumed.txt"
 rm -rf "$shared"
 echo "ok: --threads 4 checkpointed and resumed reports match --threads 1"
 
-echo "== ASan+UBSan tier (shard|checkpoint|service|model|record|core under ${build_dir}-asan)"
+echo "== ASan+UBSan tier (every test under ${build_dir}-asan)"
 cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${build_dir}-asan" -j "$jobs" --target shard_test \
-  checkpoint_test service_test model_test alignment_test record_test \
-  record_fuzz_test codec_golden_test locality_test markov_chain_test \
-  chain_param_test neighborhood_test chain_run_test particle_system_test
+cmake --build "${build_dir}-asan" -j "$jobs"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
-  -L 'shard|checkpoint|service|model|record|core'
+  ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs"
 
 echo "== TSan tier (engine|shard|checkpoint|harness|service under ${build_dir}-tsan)"
 # No core test or src/core file starts a thread, so the core tier stays

@@ -184,7 +184,7 @@ Frame SweepServer::handle_frame(const Frame& request) {
     case FrameType::kSubmit:
       return handle_submit(request);
     case FrameType::kStatus: {
-      const std::shared_ptr<Job> job = find_job(request.args[0]);
+      const std::shared_ptr<JobRecord> job = find_job(request.args[0]);
       if (!job) {
         return make_refused(kRefusedUnknownId,
                             "no job '" + request.args[0] + "'");
@@ -194,11 +194,11 @@ Frame SweepServer::handle_frame(const Frame& request) {
       f.args = {job->id,
                 job_state_name(job->state.load(std::memory_order_acquire)),
                 std::to_string(job->done_tasks.load()),
-                std::to_string(job->spec.tasks.size())};
+                std::to_string(job->tasks)};
       return f;
     }
     case FrameType::kResult: {
-      const std::shared_ptr<Job> job = find_job(request.args[0]);
+      const std::shared_ptr<JobRecord> job = find_job(request.args[0]);
       if (!job) {
         return make_refused(kRefusedUnknownId,
                             "no job '" + request.args[0] + "'");
@@ -209,11 +209,11 @@ Frame SweepServer::handle_frame(const Frame& request) {
           Frame f;
           f.type = FrameType::kResultOk;
           f.args = {job->id};
-          f.payload = job->result_doc;
+          f.payload = job->answer;
           return f;
         }
         case JobState::kFailed:
-          return make_refused(kRefusedJobFailed, job->failure);
+          return make_refused(kRefusedJobFailed, job->answer);
         case JobState::kCancelled:
           return make_refused(kRefusedJobCancelled,
                               "job '" + job->id + "' was cancelled");
@@ -232,19 +232,17 @@ Frame SweepServer::handle_frame(const Frame& request) {
         return make_refused(kRefusedUnknownId,
                             "no job '" + request.args[0] + "'");
       }
-      const std::shared_ptr<Job>& job = it->second;
+      const std::shared_ptr<JobRecord>& job = it->second;
       JobState expected = JobState::kQueued;
       if (job->state.compare_exchange_strong(expected, JobState::kCancelled,
                                              std::memory_order_acq_rel)) {
-        // Still queued: drop it before the executor ever sees it.
-        for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
-          if ((*qit)->id == job->id) {
-            queue_.erase(qit);
-            break;
-          }
-        }
+        // Still queued: drop it, and its work, before the executor ever
+        // sees it.
+        std::erase_if(queue_, [&job](const QueuedJob& queued) {
+          return queued.record == job;
+        });
         ++stats_.cancelled;
-        retire_terminal_locked(job);
+        retire_terminal_locked(*job);
       } else if (expected == JobState::kRunning) {
         // Running: arm the engine's between-task token; the executor
         // records the terminal state when the pool drains.
@@ -296,12 +294,11 @@ Frame SweepServer::handle_submit(const Frame& request) {
                             " jobs (limit " +
                             std::to_string(config_.queue_limit) + ")");
   }
-  auto job = std::make_shared<Job>();
+  auto job = std::make_shared<JobRecord>();
   job->id = "j" + std::to_string(next_job_++);
-  job->spec = std::move(spec);
-  job->program = std::move(program);
+  job->tasks = spec.tasks.size();
   jobs_.emplace(job->id, job);
-  queue_.push_back(job);
+  queue_.push_back({job, std::move(spec), std::move(program)});
   ++stats_.submitted;
   const std::size_t depth = queue_.size();
   queue_cv_.notify_one();
@@ -311,15 +308,15 @@ Frame SweepServer::handle_submit(const Frame& request) {
   return f;
 }
 
-std::shared_ptr<SweepServer::Job> SweepServer::find_job(
+std::shared_ptr<SweepServer::JobRecord> SweepServer::find_job(
     const std::string& id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : it->second;
 }
 
-void SweepServer::retire_terminal_locked(const std::shared_ptr<Job>& job) {
-  terminal_order_.push_back(job->id);
+void SweepServer::retire_terminal_locked(const JobRecord& job) {
+  terminal_order_.push_back(job.id);
   while (terminal_order_.size() > config_.retain_limit) {
     jobs_.erase(terminal_order_.front());
     terminal_order_.pop_front();
@@ -337,7 +334,9 @@ void SweepServer::JobSink::record(const Record& r) {
 
 void SweepServer::executor_loop() {
   for (;;) {
-    std::shared_ptr<Job> job;
+    // Destroyed at the end of each pass, so a job's spec and program
+    // live no longer than its run.
+    QueuedJob next;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_cv_.wait(lock, [this] {
@@ -346,39 +345,43 @@ void SweepServer::executor_loop() {
       if (stopping_.load(std::memory_order_relaxed)) {
         // Jobs still queued at shutdown are cancelled, not silently
         // dropped: a status query on a retained id stays truthful.
-        for (const std::shared_ptr<Job>& queued : queue_) {
-          queued->state.store(JobState::kCancelled,
-                              std::memory_order_release);
+        for (const QueuedJob& queued : queue_) {
+          queued.record->state.store(JobState::kCancelled,
+                                     std::memory_order_release);
           ++stats_.cancelled;
-          retire_terminal_locked(queued);
+          retire_terminal_locked(*queued.record);
         }
         queue_.clear();
         return;
       }
-      job = queue_.front();
+      next = std::move(queue_.front());
       queue_.pop_front();
-      job->state.store(JobState::kRunning, std::memory_order_release);
+      next.record->state.store(JobState::kRunning, std::memory_order_release);
     }
-    JobSink sink(this, job.get());
+    JobRecord& job = *next.record;
+    JobSink sink(this, &job);
     try {
       std::vector<engine::TaskResult> results = engine::run_ensemble(
-          *pool_, job->spec.tasks, job->program.fn, &sink, &job->cancel);
-      if (job->program.aux) {
-        for (engine::TaskResult& r : results) r.aux = job->program.aux(r);
+          *pool_, next.spec.tasks, next.program.fn, &sink, &job.cancel);
+      if (next.program.aux) {
+        for (engine::TaskResult& r : results) r.aux = next.program.aux(r);
       }
-      job->result_doc = encode_result_payload(job->spec, results);
-      job->state.store(JobState::kDone, std::memory_order_release);
+      job.answer = encode_result_payload(next.spec, results);
+      // The encoder reserves ahead; a retained document keeps only its
+      // own bytes.
+      job.answer.shrink_to_fit();
+      job.state.store(JobState::kDone, std::memory_order_release);
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.completed;
       retire_terminal_locked(job);
     } catch (const engine::Cancelled&) {
-      job->state.store(JobState::kCancelled, std::memory_order_release);
+      job.state.store(JobState::kCancelled, std::memory_order_release);
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.cancelled;
       retire_terminal_locked(job);
     } catch (const std::exception& e) {
-      job->failure = e.what();
-      job->state.store(JobState::kFailed, std::memory_order_release);
+      job.answer = e.what();
+      job.state.store(JobState::kFailed, std::memory_order_release);
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.failed;
       retire_terminal_locked(job);

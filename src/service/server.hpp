@@ -22,8 +22,15 @@
 // Job lifecycle: queued → running → done | failed, with cancelled
 // reachable from queued (immediate) and running (via the engine's
 // between-task cancel token — in-flight tasks drain, the job never
-// leaves a partially-stepped chain). Results are retained in memory
-// until the retention cap evicts the oldest terminal job.
+// leaves a partially-stepped chain). A job is two parts. Its record is
+// what the I/O thread answers from: id, task count, state, done count,
+// cancel flag, and once it ends the result document (stored at its own
+// size) or the failure text. Its work is what only the executor reads:
+// the decoded JobSpec and the compiled JobProgram with its ChainJob
+// closures. The queue entry owns the work, so the work is freed however
+// the job ends: done, failed, or cancelled while queued, while running
+// or at shutdown. Only the record is retained, until the retention cap
+// evicts the oldest terminal job.
 //
 // Determinism: the executor runs the same engine::run_ensemble +
 // shard::encode path the batch harness does, so a job's result document
@@ -91,18 +98,28 @@ class SweepServer {
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Job {
+  /// What status, result and cancel answer from; retained after the job
+  /// ends until the retention cap evicts it.
+  struct JobRecord {
     std::string id;
-    shard::JobSpec spec;
-    JobProgram program;
+    std::uint64_t tasks = 0;  ///< task count, fixed at submit
     std::atomic<JobState> state{JobState::kQueued};
     std::atomic<std::uint64_t> done_tasks{0};
     std::atomic<bool> cancel{false};
+    /// The result document once done, the failure text once failed.
     /// Written by the executor before the release-store to a terminal
     /// state; readers observe it only after an acquire-load sees that
     /// state.
-    std::string result_doc;
-    std::string failure;
+    std::string answer;
+  };
+
+  /// A queued job: its record and the work only the executor reads.
+  /// Destroying the entry (run to its end, cancelled in the queue,
+  /// cleared at shutdown) frees the spec and the program.
+  struct QueuedJob {
+    std::shared_ptr<JobRecord> record;
+    shard::JobSpec spec;
+    JobProgram program;
   };
 
   /// ProgressSink adapter: stamps each record with the owning job id
@@ -110,12 +127,13 @@ class SweepServer {
   /// for status-ok either way.
   class JobSink : public engine::ProgressSink {
    public:
-    JobSink(SweepServer* server, Job* job) : server_(server), job_(job) {}
+    JobSink(SweepServer* server, JobRecord* job)
+        : server_(server), job_(job) {}
     void record(const Record& r) override;
 
    private:
     SweepServer* server_;
-    Job* job_;
+    JobRecord* job_;
   };
 
   struct Connection;  ///< one open connection, as the I/O loop holds it
@@ -128,8 +146,8 @@ class SweepServer {
   [[nodiscard]] bool serve(Connection& c);
   [[nodiscard]] Frame handle_frame(const Frame& request);
   [[nodiscard]] Frame handle_submit(const Frame& request);
-  [[nodiscard]] std::shared_ptr<Job> find_job(const std::string& id);
-  void retire_terminal_locked(const std::shared_ptr<Job>& job);
+  [[nodiscard]] std::shared_ptr<JobRecord> find_job(const std::string& id);
+  void retire_terminal_locked(const JobRecord& job);
 
   ServerConfig config_;
   Fd listen_fd_;
@@ -141,8 +159,8 @@ class SweepServer {
 
   mutable std::mutex mutex_;           ///< guards everything below
   std::condition_variable queue_cv_;   ///< executor wakeup
-  std::deque<std::shared_ptr<Job>> queue_;
-  std::map<std::string, std::shared_ptr<Job>> jobs_;
+  std::deque<QueuedJob> queue_;
+  std::map<std::string, std::shared_ptr<JobRecord>> jobs_;
   std::deque<std::string> terminal_order_;  ///< retention FIFO
   std::uint64_t next_job_ = 1;
   Stats stats_;

@@ -520,6 +520,93 @@ TEST(ServiceServerTest, BoundedQueueRefusesOverload) {
   EXPECT_GE(server.stats().cancelled, 2u);
 }
 
+// A job's spec and program are freed when it ends; what status and
+// result answer from is its record. With room for two terminal jobs,
+// the first of three finished jobs is evicted, the other two answer
+// from their records alone, and a job cancelled in the queue still
+// reports the task count it was submitted with.
+TEST(ServiceServerTest, RetainedJobsAnswerFromTheirRecords) {
+  const std::string socket_path = test_socket("retain");
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  config.pool_threads = 1;
+  config.retain_limit = 2;
+  service::SweepServer server(config);
+  server.start();
+  service::Client client(socket_path);
+  service::FrameChannel raw(service::connect_unix(socket_path));
+
+  const auto expect_unknown = [](auto query) {
+    try {
+      query();
+      ADD_FAILURE() << "an evicted job was still answered";
+    } catch (const service::Refused& e) {
+      EXPECT_EQ(e.reason(), service::kRefusedUnknownId);
+    }
+  };
+
+  std::vector<shard::JobSpec> jobs;
+  std::vector<std::string> ids;
+  for (std::size_t tasks = 1; tasks <= 3; ++tasks) {
+    jobs.push_back(small_job(tasks, 12, 200, /*seed=*/20 + tasks));
+    const service::Client::Submitted submitted = client.submit(jobs.back());
+    ASSERT_TRUE(submitted.accepted);
+    ids.push_back(submitted.job_id);
+    service::Client::Status status;
+    do {
+      status = client.status(ids.back());
+    } while (!service::is_terminal(status.state));
+    ASSERT_EQ(status.state, service::JobState::kDone);
+  }
+
+  expect_unknown([&] { (void)client.status(ids[0]); });
+  expect_unknown([&] { (void)client.result(ids[0]); });
+
+  engine::ThreadPool pool(1);
+  for (std::size_t k = 1; k < 3; ++k) {
+    const service::Client::Status status = client.status(ids[k]);
+    EXPECT_EQ(status.state, service::JobState::kDone);
+    EXPECT_EQ(status.done, jobs[k].tasks.size());
+    EXPECT_EQ(status.total, jobs[k].tasks.size());
+
+    service::Frame request;
+    request.type = service::FrameType::kResult;
+    request.args = {ids[k]};
+    raw.send(request);
+    const std::optional<service::Frame> answer = raw.recv();
+    ASSERT_TRUE(answer.has_value());
+    ASSERT_EQ(answer->type, service::FrameType::kResultOk);
+    const service::JobProgram program = service::build_program(jobs[k]);
+    const auto local = engine::run_ensemble(pool, jobs[k].tasks, program.fn);
+    EXPECT_EQ(answer->payload,
+              service::encode_result_payload(jobs[k], local));
+  }
+
+  // Occupy the executor, then cancel a job while it waits in the queue.
+  const service::Client::Submitted running =
+      client.submit(small_job(64, 24, 500000, /*seed=*/24));
+  ASSERT_TRUE(running.accepted);
+  service::Client::Status status;
+  do {
+    status = client.status(running.job_id);
+  } while (status.state == service::JobState::kQueued);
+  const shard::JobSpec queued_job = small_job(5, 12, 200, /*seed=*/25);
+  const service::Client::Submitted queued = client.submit(queued_job);
+  ASSERT_TRUE(queued.accepted);
+  EXPECT_EQ(client.cancel(queued.job_id), service::JobState::kCancelled);
+  status = client.status(queued.job_id);
+  EXPECT_EQ(status.state, service::JobState::kCancelled);
+  EXPECT_EQ(status.done, 0u);
+  EXPECT_EQ(status.total, queued_job.tasks.size());
+
+  (void)client.cancel(running.job_id);
+  client.shutdown_server();
+  server.wait();
+  const service::SweepServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.cancelled, 2u);
+}
+
 TEST(ServiceServerTest, MalformedBytesGetAnErrorFrameThenClose) {
   const std::string socket_path = test_socket("malformed");
   service::ServerConfig config;
